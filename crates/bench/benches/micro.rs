@@ -2,8 +2,9 @@
 //! connection handshake, and simulator event throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use quicspin_core::{ObserverConfig, PacketObservation, SpinObserver};
+use quicspin_core::{Direction, ObserverConfig, PacketObservation, SpinObserver};
 use quicspin_netsim::{LinkConfig, Side, SimDuration, Simulator};
+use quicspin_observer::{FlowObserver, ObservedPacket};
 use quicspin_quic::{ConnectionLab, LabConfig};
 use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, ShortHeader};
 
@@ -52,6 +53,35 @@ fn observer_throughput(c: &mut Criterion) {
                 observer.observe(std::hint::black_box(obs));
             }
             observer.rtt_samples_us().len()
+        })
+    });
+    // The same wave through the on-path observer: short headers narrowed
+    // at the privacy boundary, then one per-flow edge machine.
+    let datagrams = [false, true].map(|spin| {
+        let mut w = quicspin_wire::Writer::new();
+        ShortHeader {
+            spin,
+            vec: 0,
+            dcid: ConnectionId::from_u64(42),
+            packet_number: PacketNumber::new(0),
+        }
+        .encode(&mut w);
+        w.into_bytes()
+    });
+    let packets: Vec<ObservedPacket> = observations
+        .iter()
+        .map(|o| {
+            let datagram = &datagrams[usize::from(o.spin)];
+            ObservedPacket::from_datagram(o.time_us, Direction::Downstream, datagram, 8).unwrap()
+        })
+        .collect();
+    group.bench_function("flow_observer_1M_packets", |b| {
+        b.iter(|| {
+            let mut observer = FlowObserver::default();
+            for packet in &packets {
+                observer.ingest(std::hint::black_box(packet));
+            }
+            observer.stats().samples
         })
     });
     group.finish();

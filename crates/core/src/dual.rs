@@ -9,7 +9,11 @@
 //! **client-side component**. Component pairs sum to the full RTT —
 //! this is how an in-network device localizes latency to one side of
 //! itself, the operational use case the paper's introduction motivates.
+//!
+//! The observer is fixed-size: it keeps the last edge per direction and
+//! a streaming count and sum per component, never the samples.
 
+use crate::median::SampleStats;
 use crate::observation::PacketObservation;
 use serde::{Deserialize, Serialize};
 
@@ -23,15 +27,15 @@ pub enum Direction {
 }
 
 /// Streaming two-direction spin observer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DualDirectionObserver {
     last_spin: [Option<bool>; 2],
     /// Last edge (time, value) per direction.
     last_edge: [Option<(u64, bool)>; 2],
     /// Tap → server → tap component samples (µs).
-    server_side_us: Vec<u64>,
+    server_side: SampleStats,
     /// Tap → client → tap component samples (µs).
-    client_side_us: Vec<u64>,
+    client_side: SampleStats,
 }
 
 fn dir_index(dir: Direction) -> usize {
@@ -69,7 +73,7 @@ impl DualDirectionObserver {
                 // server-side component.
                 if let Some((up_time, up_value)) = self.last_edge[0] {
                     if up_value == obs.spin && obs.time_us >= up_time {
-                        self.server_side_us.push(obs.time_us - up_time);
+                        self.server_side.push(obs.time_us - up_time);
                     }
                 }
             }
@@ -78,7 +82,7 @@ impl DualDirectionObserver {
                 // the reflected edge is the client-side component.
                 if let Some((down_time, down_value)) = self.last_edge[1] {
                     if down_value != obs.spin && obs.time_us >= down_time {
-                        self.client_side_us.push(obs.time_us - down_time);
+                        self.client_side.push(obs.time_us - down_time);
                     }
                 }
             }
@@ -86,33 +90,34 @@ impl DualDirectionObserver {
         self.last_edge[idx] = Some((obs.time_us, obs.spin));
     }
 
-    /// Server-side component samples (µs).
-    pub fn server_side_us(&self) -> &[u64] {
-        &self.server_side_us
+    /// Number of server-side component samples.
+    pub fn server_side_count(&self) -> u64 {
+        self.server_side.count()
     }
 
-    /// Client-side component samples (µs).
-    pub fn client_side_us(&self) -> &[u64] {
-        &self.client_side_us
+    /// Number of client-side component samples.
+    pub fn client_side_count(&self) -> u64 {
+        self.client_side.count()
     }
 
-    /// Mean of a sample list in ms.
-    fn mean_ms(samples: &[u64]) -> Option<f64> {
-        if samples.is_empty() {
-            None
-        } else {
-            Some(samples.iter().sum::<u64>() as f64 / samples.len() as f64 / 1000.0)
-        }
+    /// Mean server-side component (µs, rounded down).
+    pub fn server_side_mean_us(&self) -> Option<u64> {
+        self.server_side.mean()
+    }
+
+    /// Mean client-side component (µs, rounded down).
+    pub fn client_side_mean_us(&self) -> Option<u64> {
+        self.client_side.mean()
     }
 
     /// Mean server-side component (ms).
     pub fn server_side_mean_ms(&self) -> Option<f64> {
-        Self::mean_ms(&self.server_side_us)
+        Some(self.server_side.mean_f64()? / 1000.0)
     }
 
     /// Mean client-side component (ms).
     pub fn client_side_mean_ms(&self) -> Option<f64> {
-        Self::mean_ms(&self.client_side_us)
+        Some(self.client_side.mean_f64()? / 1000.0)
     }
 
     /// Mean full RTT reconstructed from the two components (ms).
@@ -158,8 +163,8 @@ mod tests {
         feed_clean_loop(&mut observer, 4);
         // 4 upstream edges → 4 reflections; client components need a
         // previous downstream edge → 3.
-        assert_eq!(observer.server_side_us().len(), 4);
-        assert_eq!(observer.client_side_us().len(), 3);
+        assert_eq!(observer.server_side_count(), 4);
+        assert_eq!(observer.client_side_count(), 3);
     }
 
     #[test]
@@ -170,7 +175,7 @@ mod tests {
             observer.observe(Direction::Downstream, &obs(t, false));
         }
         assert!(observer.full_rtt_mean_ms().is_none());
-        assert!(observer.server_side_us().is_empty());
+        assert_eq!(observer.server_side_count(), 0);
     }
 
     #[test]
@@ -186,8 +191,10 @@ mod tests {
         // with the wrong value relationship.
         observer.observe(Direction::Downstream, &obs(30, true)); // genuine reflection
         observer.observe(Direction::Downstream, &obs(40, false)); // spurious flip back
-                                                                  // The spurious 1→0 downstream edge does not match upstream value 1.
-        assert_eq!(observer.server_side_us(), &[20_000]);
+
+        // The spurious 1→0 downstream edge does not match upstream value 1.
+        assert_eq!(observer.server_side_count(), 1);
+        assert_eq!(observer.server_side_mean_us(), Some(20_000));
     }
 
     #[test]
@@ -196,7 +203,7 @@ mod tests {
         for k in 0..6 {
             observer.observe(Direction::Downstream, &obs(k * 40, k % 2 == 0));
         }
-        assert!(observer.server_side_us().is_empty());
-        assert!(observer.client_side_us().is_empty());
+        assert_eq!(observer.server_side_count(), 0);
+        assert_eq!(observer.client_side_count(), 0);
     }
 }

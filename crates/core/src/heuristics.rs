@@ -7,7 +7,13 @@
 //! under reproduction calls for exactly this kind of filtering as future
 //! work (§7). This module implements the three filters used throughout
 //! the workspace's ablation benches.
+//!
+//! Filter state is fixed-size: only [`RttFilter::DynamicRange`] reads a
+//! median, and it takes the median of the last
+//! [`MEDIAN_WINDOW`](crate::median::MEDIAN_WINDOW) accepted samples
+//! ([`WindowedMedian`]); the other filters keep counts only.
 
+use crate::median::WindowedMedian;
 use serde::{Deserialize, Serialize};
 
 /// A filter deciding whether a candidate spin RTT sample is plausible.
@@ -23,8 +29,9 @@ pub enum RttFilter {
         min_us: u64,
     },
     /// Reject samples outside `[lower × m, upper × m]` where `m` is the
-    /// running median of previously *accepted* samples. The first sample
-    /// is always accepted to seed the estimate.
+    /// median of the last [`MEDIAN_WINDOW`](crate::median::MEDIAN_WINDOW)
+    /// *accepted* samples. The first sample is always accepted to seed
+    /// the estimate.
     DynamicRange {
         /// Lower bound factor (e.g. 0.1).
         lower: f64,
@@ -34,10 +41,13 @@ pub enum RttFilter {
 }
 
 /// Stateful application of an [`RttFilter`] to a sample stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FilterState {
     filter: RttFilter,
-    accepted: Vec<u64>,
+    /// Accepted samples; fed only under [`RttFilter::DynamicRange`], the
+    /// one filter that reads the median.
+    median: WindowedMedian,
+    accepted: usize,
     rejected: usize,
 }
 
@@ -46,7 +56,8 @@ impl FilterState {
     pub fn new(filter: RttFilter) -> Self {
         FilterState {
             filter,
-            accepted: Vec::new(),
+            median: WindowedMedian::new(),
+            accepted: 0,
             rejected: 0,
         }
     }
@@ -57,36 +68,29 @@ impl FilterState {
             RttFilter::None => true,
             RttFilter::StaticFloor { min_us } => sample_us >= min_us,
             RttFilter::DynamicRange { lower, upper } => {
-                if self.accepted.is_empty() {
-                    true
-                } else {
-                    let m = self.running_median();
+                let ok = self.median.median().is_none_or(|m| {
                     let s = sample_us as f64;
                     s >= lower * m && s <= upper * m
+                });
+                if ok {
+                    self.median.push(sample_us);
                 }
+                ok
             }
         };
         if ok {
-            // Insert keeping `accepted` sorted, so the median is O(1).
-            let pos = self.accepted.partition_point(|&v| v < sample_us);
-            self.accepted.insert(pos, sample_us);
+            self.accepted += 1;
         } else {
             self.rejected += 1;
         }
         ok
     }
 
-    /// Median of accepted samples (0 if none).
+    /// Median of the last [`MEDIAN_WINDOW`](crate::median::MEDIAN_WINDOW)
+    /// accepted samples under [`RttFilter::DynamicRange`]; 0 before the
+    /// first one and under the filters that never read it.
     pub fn running_median(&self) -> f64 {
-        if self.accepted.is_empty() {
-            return 0.0;
-        }
-        let n = self.accepted.len();
-        if n % 2 == 1 {
-            self.accepted[n / 2] as f64
-        } else {
-            (self.accepted[n / 2 - 1] + self.accepted[n / 2]) as f64 / 2.0
-        }
+        self.median.median().unwrap_or(0.0)
     }
 
     /// Number of samples rejected so far.
@@ -96,7 +100,7 @@ impl FilterState {
 
     /// Number of samples accepted so far.
     pub fn accepted_count(&self) -> usize {
-        self.accepted.len()
+        self.accepted
     }
 }
 
@@ -138,9 +142,16 @@ mod tests {
         assert_eq!(f.rejected(), 2);
     }
 
+    /// A dynamic range wide enough to accept every sample below, so the
+    /// median tests see every offer.
+    const WIDE: RttFilter = RttFilter::DynamicRange {
+        lower: 0.0,
+        upper: 1e9,
+    };
+
     #[test]
     fn running_median_odd_even() {
-        let mut f = FilterState::new(RttFilter::None);
+        let mut f = FilterState::new(WIDE);
         assert_eq!(f.running_median(), 0.0);
         f.offer(10);
         assert_eq!(f.running_median(), 10.0);
@@ -152,8 +163,8 @@ mod tests {
 
     #[test]
     fn median_is_order_independent() {
-        let mut a = FilterState::new(RttFilter::None);
-        let mut b = FilterState::new(RttFilter::None);
+        let mut a = FilterState::new(WIDE);
+        let mut b = FilterState::new(WIDE);
         for v in [5u64, 1, 9, 3, 7] {
             a.offer(v);
         }
@@ -162,6 +173,30 @@ mod tests {
         }
         assert_eq!(a.running_median(), b.running_median());
         assert_eq!(a.running_median(), 5.0);
+    }
+
+    #[test]
+    fn counting_filters_keep_no_median() {
+        let mut f = FilterState::new(RttFilter::StaticFloor { min_us: 10 });
+        for v in [20, 40, 5] {
+            f.offer(v);
+        }
+        assert_eq!(f.accepted_count(), 2);
+        assert_eq!(f.running_median(), 0.0, "StaticFloor never reads it");
+    }
+
+    #[test]
+    fn dynamic_range_median_forgets_samples_beyond_the_window() {
+        use crate::median::MEDIAN_WINDOW;
+        let mut f = FilterState::new(WIDE);
+        for _ in 0..MEDIAN_WINDOW {
+            f.offer(1_000);
+        }
+        for _ in 0..MEDIAN_WINDOW {
+            f.offer(3_000);
+        }
+        assert_eq!(f.running_median(), 3_000.0);
+        assert_eq!(f.accepted_count(), 2 * MEDIAN_WINDOW);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //!   stream and turns the time between consecutive edges into RTT samples,
 //!   optionally applying the RFC 9312 robustness heuristics
 //!   ([`heuristics::RttFilter`]).
+//! * [`WindowedMedian`] / [`SampleStats`] ([`median`]) — the fixed-size
+//!   per-flow state behind the heuristics: the median of the last
+//!   [`MEDIAN_WINDOW`] accepted periods, and streaming count/sum/min/max
+//!   in place of sample lists.
 //! * [`VecObserver`] — the Valid Edge Counter of De Vaere et al., carried
 //!   in the short header's reserved bits by consenting endpoints.
 //! * [`GreaseFilter`] — the paper's filter: a connection presumably
@@ -29,9 +33,9 @@
 pub mod accuracy;
 pub mod classify;
 pub mod dual;
-pub mod flowmap;
 pub mod grease;
 pub mod heuristics;
+pub mod median;
 pub mod observation;
 pub mod observer;
 pub mod reorder;
@@ -41,9 +45,9 @@ pub mod vec_counter;
 pub use accuracy::AccuracySample;
 pub use classify::FlowClassification;
 pub use dual::{Direction, DualDirectionObserver};
-pub use flowmap::FlowMap;
 pub use grease::GreaseFilter;
 pub use heuristics::RttFilter;
+pub use median::{SampleStats, WindowedMedian, MEDIAN_WINDOW};
 pub use observation::PacketObservation;
 pub use observer::{ObserverConfig, SpinEdge, SpinObserver};
 pub use report::ObserverReport;

@@ -11,7 +11,7 @@
 //!   packet carrying a stale spin value fakes an edge that a packet with
 //!   the current value immediately reverts. An edge whose period is
 //!   implausibly short (below [`ObserverPolicy::min_period_frac`] of the
-//!   running median) is rejected *without* taking its value or advancing
+//!   median period) is rejected *without* taking its value or advancing
 //!   the edge clock, so the revert packet matches the kept state and the
 //!   wave re-synchronizes by itself. Cross-direction consistency (a
 //!   downstream edge must reflect the last upstream value, RFC 9312
@@ -26,13 +26,26 @@
 //!   edge falls before [`ObserverPolicy::warmup_us`] are counted but
 //!   suppressed, keeping slow-start transients out of the stream.
 //!
+//! The median both heuristics compare against is the median of the last
+//! [`MEDIAN_WINDOW`] accepted periods of the direction
+//! ([`WindowedMedian`]). Per-flow state is fixed-size: a
+//! [`FlowObserver`] is a `Copy` value holding two windows, streaming
+//! sample statistics ([`SampleStats`]) and counters, and never the
+//! samples themselves, so per-packet cost and memory do not grow with
+//! flow length. A flow whose directions each accept at most
+//! [`MEDIAN_WINDOW`] periods sees exactly the all-history median, so its
+//! [`FlowStats`] equal those of an observer that keeps every period.
+//!
+//! [`MEDIAN_WINDOW`]: quicspin_core::MEDIAN_WINDOW
+//!
 //! With the default policy and a clean path (no loss, no reordering, no
 //! jitter) none of the heuristics fire and the downstream sample stream
-//! is exactly the client's own spin RTT stream — the property the test
-//! suite pins down.
+//! ([`FlowObserver::observe`] returns each accepted sample) is exactly
+//! the client's own spin RTT stream — the property the test suite pins
+//! down.
 
 use crate::packet::ObservedPacket;
-use quicspin_core::{Direction, DualDirectionObserver};
+use quicspin_core::{Direction, DualDirectionObserver, SampleStats, WindowedMedian};
 use serde::{Deserialize, Serialize};
 
 /// Validity-heuristic thresholds of a [`FlowObserver`].
@@ -42,10 +55,10 @@ pub struct ObserverPolicy {
     /// connection start). 0 disables warm-up suppression.
     pub warmup_us: u64,
     /// Reject an edge as reordering when its period is below this
-    /// fraction of the running median period. 0 disables the check.
+    /// fraction of the median period. 0 disables the check.
     pub min_period_frac: f64,
     /// Reject a sample as a loss gap when its period exceeds this
-    /// multiple of the running median period. 0 disables the check.
+    /// multiple of the median period. 0 disables the check.
     pub max_period_factor: f64,
 }
 
@@ -71,45 +84,35 @@ impl ObserverPolicy {
 }
 
 /// Edge tracking state of one direction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct DirState {
     last_spin: Option<bool>,
     last_edge_us: Option<u64>,
     edges: u64,
-    samples_us: Vec<u64>,
-    /// Accepted periods (including warm-up-suppressed ones), kept sorted
-    /// for the running median the heuristics compare against.
-    sorted_periods_us: Vec<u64>,
+    samples: SampleStats,
+    /// Accepted periods (including warm-up-suppressed ones): the median
+    /// the heuristics compare against.
+    periods: WindowedMedian,
     rejected_reorder: u64,
     rejected_gap: u64,
     suppressed_warmup: u64,
 }
 
 impl DirState {
-    fn median(&self) -> Option<f64> {
-        if self.sorted_periods_us.is_empty() {
-            return None;
-        }
-        let n = self.sorted_periods_us.len();
-        Some(if n % 2 == 1 {
-            self.sorted_periods_us[n / 2] as f64
-        } else {
-            (self.sorted_periods_us[n / 2 - 1] + self.sorted_periods_us[n / 2]) as f64 / 2.0
-        })
-    }
-
-    fn note(&mut self, time_us: u64, spin: bool, policy: &ObserverPolicy) {
+    /// Tracks one packet's spin value; returns the accepted RTT sample
+    /// when the packet is an edge that completes one.
+    fn note(&mut self, time_us: u64, spin: bool, policy: &ObserverPolicy) -> Option<u64> {
         let prev = match self.last_spin {
             None => {
                 // First short-header packet of this direction defines the
                 // baseline value; a wave needs a level before an edge.
                 self.last_spin = Some(spin);
-                return;
+                return None;
             }
             Some(v) => v,
         };
         if prev == spin {
-            return;
+            return None;
         }
         self.edges += 1;
         let prev_edge = match self.last_edge_us {
@@ -118,18 +121,18 @@ impl DirState {
                 // endpoint-side SpinObserver: no sample yet.
                 self.last_spin = Some(spin);
                 self.last_edge_us = Some(time_us);
-                return;
+                return None;
             }
             Some(t) => t,
         };
         let period = time_us.saturating_sub(prev_edge);
-        let median = self.median();
+        let median = self.periods.median();
         if let Some(m) = median {
             if policy.min_period_frac > 0.0 && (period as f64) < policy.min_period_frac * m {
                 // Reordering: keep the pre-edge state so the flip-back
                 // packet re-synchronizes instead of faking a second edge.
                 self.rejected_reorder += 1;
-                return;
+                return None;
             }
         }
         self.last_spin = Some(spin);
@@ -139,16 +142,16 @@ impl DirState {
                 // A lost edge inflated this period to a multiple of the
                 // RTT; the edge is real but the sample is not.
                 self.rejected_gap += 1;
-                return;
+                return None;
             }
         }
-        let at = self.sorted_periods_us.partition_point(|&p| p < period);
-        self.sorted_periods_us.insert(at, period);
+        self.periods.push(period);
         if time_us < policy.warmup_us {
             self.suppressed_warmup += 1;
-            return;
+            return None;
         }
-        self.samples_us.push(period);
+        self.samples.push(period);
+        Some(period)
     }
 }
 
@@ -191,17 +194,10 @@ pub struct FlowStats {
     pub measurable: bool,
 }
 
-fn mean_us(samples: &[u64]) -> Option<u64> {
-    if samples.is_empty() {
-        None
-    } else {
-        Some(samples.iter().sum::<u64>() / samples.len() as u64)
-    }
-}
-
 /// Streaming per-flow observer: both directions' edge state machines
-/// plus the dual-direction component split.
-#[derive(Debug, Clone)]
+/// plus the dual-direction component split. A fixed-size `Copy` value:
+/// nothing in it grows with the flow.
+#[derive(Debug, Clone, Copy)]
 pub struct FlowObserver {
     policy: ObserverPolicy,
     /// Index 0 = upstream, 1 = downstream (matches [`Direction`]).
@@ -235,7 +231,9 @@ impl FlowObserver {
     }
 
     /// Feeds one observed packet (must arrive in tap-crossing order).
-    pub fn ingest(&mut self, packet: &ObservedPacket) {
+    /// Returns the RTT sample (µs) of the packet's direction when the
+    /// packet completed an accepted spin period.
+    pub fn observe(&mut self, packet: &ObservedPacket) -> Option<u64> {
         self.packets += 1;
         self.dual
             .observe(packet.direction(), &packet.to_observation());
@@ -244,7 +242,12 @@ impl FlowObserver {
             Direction::Downstream => 1,
         };
         let policy = self.policy;
-        self.dirs[idx].note(packet.time_us(), packet.spin(), &policy);
+        self.dirs[idx].note(packet.time_us(), packet.spin(), &policy)
+    }
+
+    /// [`observe`](FlowObserver::observe) without the sample.
+    pub fn ingest(&mut self, packet: &ObservedPacket) {
+        self.observe(packet);
     }
 
     /// Notes a datagram the privacy boundary refused (long header or
@@ -264,16 +267,6 @@ impl FlowObserver {
         }
     }
 
-    /// Accepted downstream RTT samples (µs) — the canonical stream.
-    pub fn rtt_samples_us(&self) -> &[u64] {
-        &self.dirs[1].samples_us
-    }
-
-    /// Accepted upstream RTT samples (µs).
-    pub fn upstream_samples_us(&self) -> &[u64] {
-        &self.dirs[0].samples_us
-    }
-
     /// The embedded RFC 9312 §4.2.1 component observer.
     pub fn dual(&self) -> &DualDirectionObserver {
         &self.dual
@@ -281,12 +274,7 @@ impl FlowObserver {
 
     /// Mean downstream RTT in ms, when measurable.
     pub fn mean_rtt_ms(&self) -> Option<f64> {
-        let s = self.rtt_samples_us();
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.iter().sum::<u64>() as f64 / s.len() as f64 / 1000.0)
-        }
+        Some(self.dirs[1].samples.mean_f64()? / 1000.0)
     }
 
     /// Snapshot of everything the campaign stores per flow.
@@ -298,24 +286,33 @@ impl FlowObserver {
             unobservable: self.unobservable,
             edges_upstream: up.edges,
             edges_downstream: down.edges,
-            samples: down.samples_us.len() as u64,
-            samples_upstream: up.samples_us.len() as u64,
-            mean_us: mean_us(&down.samples_us),
-            min_us: down.samples_us.iter().copied().min(),
-            max_us: down.samples_us.iter().copied().max(),
-            server_side_mean_us: mean_us(self.dual.server_side_us()),
-            client_side_mean_us: mean_us(self.dual.client_side_us()),
+            samples: down.samples.count(),
+            samples_upstream: up.samples.count(),
+            mean_us: down.samples.mean(),
+            min_us: down.samples.min(),
+            max_us: down.samples.max(),
+            server_side_mean_us: self.dual.server_side_mean_us(),
+            client_side_mean_us: self.dual.client_side_mean_us(),
             rejected_reorder: up.rejected_reorder + down.rejected_reorder,
             rejected_gap: up.rejected_gap + down.rejected_gap,
             suppressed_warmup: up.suppressed_warmup + down.suppressed_warmup,
-            measurable: !down.samples_us.is_empty(),
+            measurable: down.samples.count() > 0,
         }
     }
 }
 
+// Bounded state, checked at compile time: both observers are plain
+// `Copy` values, so neither can own a heap buffer that grows per packet.
+const _: fn() = || {
+    fn assert_copy<T: Copy>() {}
+    assert_copy::<FlowObserver>();
+    assert_copy::<DualDirectionObserver>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicspin_core::MEDIAN_WINDOW;
 
     fn packet(t_ms: u64, dir: Direction, spin: bool) -> ObservedPacket {
         let h = quicspin_wire::ShortHeader {
@@ -329,21 +326,22 @@ mod tests {
         ObservedPacket::from_datagram(t_ms * 1000, dir, &w.into_bytes(), 8).unwrap()
     }
 
-    fn feed_square_wave(obs: &mut FlowObserver, period_ms: u64, edges: u64) {
-        for k in 0..edges {
-            obs.ingest(&packet(k * period_ms, Direction::Downstream, k % 2 == 1));
-        }
+    /// Feeds a downstream square wave; returns the accepted samples.
+    fn feed_square_wave(obs: &mut FlowObserver, period_ms: u64, edges: u64) -> Vec<u64> {
+        (0..edges)
+            .filter_map(|k| obs.observe(&packet(k * period_ms, Direction::Downstream, k % 2 == 1)))
+            .collect()
     }
 
     #[test]
     fn clean_wave_yields_one_sample_per_edge_after_the_first() {
         let mut obs = FlowObserver::default();
-        feed_square_wave(&mut obs, 40, 6);
-        assert_eq!(obs.rtt_samples_us(), &[40_000; 4]);
+        assert_eq!(feed_square_wave(&mut obs, 40, 6), [40_000; 4]);
         let stats = obs.stats();
         assert_eq!(stats.edges_downstream, 5);
         assert_eq!(stats.samples, 4);
         assert_eq!(stats.mean_us, Some(40_000));
+        assert_eq!(obs.mean_rtt_ms(), Some(40.0));
         assert!(stats.measurable);
         assert_eq!(stats.rejected_reorder + stats.rejected_gap, 0);
     }
@@ -351,30 +349,35 @@ mod tests {
     #[test]
     fn reordered_stale_value_is_rejected_and_state_recovers() {
         let mut obs = FlowObserver::default();
-        feed_square_wave(&mut obs, 40, 4); // last value: true at t=120
-                                           // A stale `false` overtakes at t=121 (fake edge), the stream then
-                                           // continues with the genuine value.
-        obs.ingest(&packet(121, Direction::Downstream, false));
-        obs.ingest(&packet(122, Direction::Downstream, true));
-        obs.ingest(&packet(160, Direction::Downstream, false)); // genuine edge
+        // The last edge of the wave sets `true` at t=120.
+        let mut samples = feed_square_wave(&mut obs, 40, 4);
+        // A stale `false` overtakes at t=121 and fakes an edge; the stream
+        // then continues with the genuine value.
+        for (t, spin) in [(121, false), (122, true), (160, false)] {
+            samples.extend(obs.observe(&packet(t, Direction::Downstream, spin)));
+        }
         let stats = obs.stats();
         assert_eq!(stats.rejected_reorder, 1);
-        // Periods stay clean: the genuine edge measures from t=120.
-        assert_eq!(obs.rtt_samples_us(), &[40_000, 40_000, 40_000]);
+        // Periods stay clean: the genuine edge at t=160 measures from t=120.
+        assert_eq!(samples, [40_000, 40_000, 40_000]);
     }
 
     #[test]
     fn loss_gap_advances_the_clock_without_a_sample() {
         let mut obs = FlowObserver::default();
         feed_square_wave(&mut obs, 40, 4);
-        // The edge at t=160 was lost; the next flip lands at t=200 with a
-        // 2-RTT period (80 ms > 4.0 isn't hit; use a bigger gap).
-        obs.ingest(&packet(120 + 200, Direction::Downstream, false));
-        obs.ingest(&packet(120 + 240, Direction::Downstream, true));
+        // The edges between t=120 and t=320 were lost: the next observed
+        // flip measures a 200 ms period, above the 4x-median (160 ms)
+        // loss-gap bound. A 2-RTT gap of 80 ms would stay under it.
+        assert_eq!(
+            obs.observe(&packet(320, Direction::Downstream, false)),
+            None
+        );
         let stats = obs.stats();
         assert_eq!(stats.rejected_gap, 1);
         // The post-gap edge measures a clean period again.
-        assert_eq!(*obs.rtt_samples_us().last().unwrap(), 40_000);
+        let next = obs.observe(&packet(360, Direction::Downstream, true));
+        assert_eq!(next, Some(40_000));
     }
 
     #[test]
@@ -383,12 +386,23 @@ mod tests {
             warmup_us: 150_000,
             ..ObserverPolicy::default()
         });
-        feed_square_wave(&mut obs, 40, 6);
         // The sample-yielding edges at 80 and 120 ms fall inside the
         // warm-up window; 160 and 200 ms are past it.
+        assert_eq!(feed_square_wave(&mut obs, 40, 6), [40_000, 40_000]);
         let stats = obs.stats();
         assert_eq!(stats.suppressed_warmup, 2);
-        assert_eq!(obs.rtt_samples_us(), &[40_000, 40_000]);
+    }
+
+    #[test]
+    fn observer_state_is_fixed_size() {
+        // Two windows of MEDIAN_WINDOW periods (ring plus sorted copy)
+        // and a few dozen counters, independent of flow length.
+        let bound = 2 * 2 * 8 * MEDIAN_WINDOW + 512;
+        assert!(
+            std::mem::size_of::<FlowObserver>() <= bound,
+            "{} > {bound} bytes",
+            std::mem::size_of::<FlowObserver>()
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! no reordering, no jitter) the observer's downstream RTT sample stream
 //! is *exactly* the client's own spin RTT stream — same length, same
 //! values, one-to-one. Every heuristic of the default policy must stay
-//! silent on such a path.
+//! silent on such a path. The observer keeps no sample list, so the
+//! tests collect the stream from [`FlowObserver::observe`] themselves.
 
-use quicspin_observer::{FlowObserver, ObserverPolicy};
+use quicspin_core::Direction;
+use quicspin_observer::{FlowObserver, ObservedPacket, ObserverPolicy};
 use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome};
 
 fn clean_run(seed: u64, rtt_ms: f64, tap: f64) -> LabOutcome {
@@ -28,6 +30,27 @@ fn observer_over(outcome: &LabOutcome) -> FlowObserver {
     flow
 }
 
+/// Feeds the capture to a fresh observer with `policy`; returns it with
+/// its accepted sample streams (downstream, upstream) in arrival order.
+fn sample_streams(outcome: &LabOutcome, policy: ObserverPolicy) -> (FlowObserver, [Vec<u64>; 2]) {
+    let mut flow = FlowObserver::new(policy);
+    let mut down = Vec::new();
+    let mut up = Vec::new();
+    for record in &outcome.tap_records {
+        let Some(packet) = ObservedPacket::from_tap(record, outcome.cid_len) else {
+            flow.note_unobservable();
+            continue;
+        };
+        if let Some(sample) = flow.observe(&packet) {
+            match packet.direction() {
+                Direction::Downstream => down.push(sample),
+                Direction::Upstream => up.push(sample),
+            }
+        }
+    }
+    (flow, [down, up])
+}
+
 #[test]
 fn clean_path_observer_matches_client_one_to_one() {
     for seed in [1, 7, 23, 99] {
@@ -35,13 +58,10 @@ fn clean_path_observer_matches_client_one_to_one() {
             for tap in [0.0, 0.3, 0.5, 0.8, 1.0] {
                 let outcome = clean_run(seed, rtt_ms, tap);
                 let client = outcome.observer_report().spin_samples_received_us;
-                let flow = observer_over(&outcome);
-                assert_eq!(
-                    flow.rtt_samples_us(),
-                    &client[..],
-                    "seed {seed} rtt {rtt_ms} tap {tap}"
-                );
+                let (flow, [down, _]) = sample_streams(&outcome, ObserverPolicy::default());
+                assert_eq!(down, client, "seed {seed} rtt {rtt_ms} tap {tap}");
                 let stats = flow.stats();
+                assert_eq!(stats, observer_over(&outcome).stats());
                 assert_eq!(stats.rejected_reorder, 0, "clean path, seed {seed}");
                 assert_eq!(stats.rejected_gap, 0, "clean path, seed {seed}");
                 assert_eq!(stats.suppressed_warmup, 0);
@@ -98,11 +118,10 @@ fn component_split_sums_to_the_full_rtt() {
 #[test]
 fn permissive_and_default_policies_agree_on_clean_paths() {
     let outcome = clean_run(17, 30.0, 0.4);
-    let mut strict = FlowObserver::default();
-    let mut raw = FlowObserver::new(ObserverPolicy::permissive());
-    strict.ingest_tap_records(&outcome.tap_records, outcome.cid_len);
-    raw.ingest_tap_records(&outcome.tap_records, outcome.cid_len);
-    assert_eq!(strict.rtt_samples_us(), raw.rtt_samples_us());
+    let (_, strict) = sample_streams(&outcome, ObserverPolicy::default());
+    let (_, raw) = sample_streams(&outcome, ObserverPolicy::permissive());
+    assert!(!strict[0].is_empty() && !strict[1].is_empty());
+    assert_eq!(strict, raw);
 }
 
 proptest::proptest! {
@@ -117,7 +136,7 @@ proptest::proptest! {
         let tap = tap_percent as f64 / 100.0;
         let outcome = clean_run(seed, rtt_ms, tap);
         let client = outcome.observer_report().spin_samples_received_us;
-        let flow = observer_over(&outcome);
-        proptest::prop_assert_eq!(flow.rtt_samples_us(), &client[..]);
+        let (_, [down, _]) = sample_streams(&outcome, ObserverPolicy::default());
+        proptest::prop_assert_eq!(down, client);
     }
 }

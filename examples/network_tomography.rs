@@ -11,10 +11,11 @@
 //!
 //! Run with: `cargo run --release --example network_tomography`
 
-use quicspin::core::{Direction, DualDirectionObserver, FlowMap, ObserverConfig};
-use quicspin::netsim::{read_pcap, write_pcap, Side};
+use quicspin::core::{Direction, DualDirectionObserver};
+use quicspin::netsim::{read_pcap, write_pcap};
+use quicspin::observer::{FlowObserver, ObservedPacket};
 use quicspin::prelude::*;
-use quicspin::wire::Header;
+use std::collections::BTreeMap;
 
 fn main() {
     println!("tap position | client-side | server-side | reconstructed RTT");
@@ -32,22 +33,22 @@ fn main() {
         let records = read_pcap(&pcap).expect("own capture parses");
 
         let mut observer = DualDirectionObserver::new();
-        let mut flows: FlowMap<Vec<u8>> = FlowMap::new(ObserverConfig::default());
+        let mut flows: BTreeMap<Vec<u8>, FlowObserver> = BTreeMap::new();
         for record in &records {
-            let Some(header) = Header::peek_observable(&record.datagram, 8) else {
+            let Some(packet) = ObservedPacket::from_tap(record, 8) else {
                 continue;
             };
-            let obs = quicspin::core::PacketObservation::wire(record.time.as_micros(), header.spin);
-            let direction = match record.from {
-                Side::Client => Direction::Upstream,
-                Side::Server => Direction::Downstream,
-            };
-            observer.observe(direction, &obs);
-            // Per-flow single-direction observation keyed by DCID.
-            if record.from == Side::Server {
-                flows.observe(header.dcid.as_slice().to_vec(), &obs);
+            observer.observe(packet.direction(), &packet.to_observation());
+            // Per-flow observation of the server->client direction keyed
+            // by DCID (each direction carries its own DCID).
+            if packet.direction() == Direction::Downstream {
+                flows
+                    .entry(packet.dcid().to_vec())
+                    .or_default()
+                    .ingest(&packet);
             }
         }
+        let measurable = flows.values().filter(|f| f.stats().measurable).count();
 
         println!(
             "        {:.1}  | {:>8.1} ms | {:>8.1} ms | {:>8.1} ms  ({} flow(s), {} measurable)",
@@ -56,7 +57,7 @@ fn main() {
             observer.server_side_mean_ms().unwrap_or(f64::NAN),
             observer.full_rtt_mean_ms().unwrap_or(f64::NAN),
             flows.len(),
-            flows.measurable_flows(),
+            measurable,
         );
     }
     println!("\npath RTT is 80 ms; the component split follows the tap position");

@@ -54,7 +54,7 @@ fn main() {
             },
         ),
         (
-            "dynamic range [0.3x, 3x] of running median",
+            "dynamic range [0.3x, 3x] of windowed median",
             ObserverConfig {
                 filter: RttFilter::DynamicRange {
                     lower: 0.3,

@@ -30,6 +30,9 @@ BENCH_JSON="$SPINCTL_DIR/bench.json" \
 test -s "$SPINCTL_DIR/bench.json"
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   compare --bench "$SPINCTL_DIR/bench.json" "$SPINCTL_DIR/bench.json"
+# The 10^6-packet observer benches, once each: affordable only because
+# per-flow observer state is fixed-size (per-packet cost is O(1)).
+cargo bench -p quicspin-bench --bench micro -- --test observer
 
 # spinctl smoke: tiny flight-recorded campaign (tap on by default), then
 # read every artifact back through the CLI (summary, anomaly listing,

@@ -34,6 +34,7 @@ pub use quicspin_analysis as analysis;
 pub use quicspin_core as core;
 pub use quicspin_h3 as h3;
 pub use quicspin_netsim as netsim;
+pub use quicspin_observer as observer;
 pub use quicspin_qlog as qlog;
 pub use quicspin_quic as quic;
 pub use quicspin_scanner as scanner;
