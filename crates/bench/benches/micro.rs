@@ -88,7 +88,7 @@ fn observer_throughput(c: &mut Criterion) {
 }
 
 fn connection_exchange(c: &mut Criterion) {
-    let mut group = c.benchmark_group("quic");
+    let mut group = c.benchmark_group("connection");
     group.sample_size(20);
     group.bench_function("full_exchange_36KB_40ms", |b| {
         b.iter(|| {

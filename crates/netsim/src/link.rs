@@ -81,8 +81,9 @@ pub struct Transit {
     /// of the propagation delay. Populated for every packet, including
     /// ones dropped later on the path.
     pub tap_time: SimTime,
-    /// Delivery times at the far end; empty = lost, two entries = duplicated.
-    pub deliveries: Vec<SimTime>,
+    /// Delivery times at the far end: none when lost, the second slot
+    /// only when duplicated.
+    pub deliveries: [Option<SimTime>; 2],
     /// Whether this packet was held back for reordering.
     pub reordered: bool,
     /// Whether this packet was dropped.
@@ -148,11 +149,11 @@ impl Link {
 
         // Loss.
         let lost = rng.chance(self.config.loss);
-        let mut deliveries = Vec::new();
+        let mut deliveries = [None; 2];
         if !lost {
-            deliveries.push(arrival);
+            deliveries[0] = Some(arrival);
             if rng.chance(self.config.duplicate) {
-                deliveries.push(arrival + self.config.dup_gap);
+                deliveries[1] = Some(arrival + self.config.dup_gap);
             }
         }
 
@@ -178,7 +179,7 @@ mod tests {
         let mut link = Link::new(LinkConfig::ideal(ms(10)));
         let mut rng = Rng::new(1);
         let t = link.send(SimTime::ZERO, 1200, 0.5, &mut rng);
-        assert_eq!(t.deliveries, vec![SimTime::ZERO + ms(10)]);
+        assert_eq!(t.deliveries, [Some(SimTime::ZERO + ms(10)), None]);
         assert_eq!(t.tap_time, SimTime::ZERO + ms(5));
         assert!(!t.lost && !t.reordered);
     }
@@ -190,7 +191,7 @@ mod tests {
         let mut rng = Rng::new(2);
         let t = link.send(SimTime::ZERO, 100, 0.0, &mut rng);
         assert!(t.lost);
-        assert!(t.deliveries.is_empty());
+        assert_eq!(t.deliveries, [None, None]);
         assert_eq!(t.tap_time, SimTime::ZERO);
     }
 
@@ -205,7 +206,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let t = link.send(SimTime::ZERO, 100, 1.0, &mut rng);
         assert!(t.reordered);
-        assert_eq!(t.deliveries, vec![SimTime::ZERO + ms(15)]);
+        assert_eq!(t.deliveries, [Some(SimTime::ZERO + ms(15)), None]);
     }
 
     #[test]
@@ -234,8 +235,10 @@ mod tests {
         let mut link = Link::new(cfg);
         let mut rng = Rng::new(5);
         let t = link.send(SimTime::ZERO, 100, 0.0, &mut rng);
-        assert_eq!(t.deliveries.len(), 2);
-        assert_eq!(t.deliveries[1] - t.deliveries[0], ms(1));
+        let [Some(first), Some(second)] = t.deliveries else {
+            panic!("expected two deliveries, got {:?}", t.deliveries);
+        };
+        assert_eq!(second - first, ms(1));
     }
 
     #[test]
@@ -249,8 +252,8 @@ mod tests {
         let mut rng = Rng::new(6);
         let a = link.send(SimTime::ZERO, 1000, 0.0, &mut rng);
         let b = link.send(SimTime::ZERO, 1000, 0.0, &mut rng);
-        assert_eq!(a.deliveries[0], SimTime::ZERO + ms(11));
-        assert_eq!(b.deliveries[0], SimTime::ZERO + ms(12));
+        assert_eq!(a.deliveries[0], Some(SimTime::ZERO + ms(11)));
+        assert_eq!(b.deliveries[0], Some(SimTime::ZERO + ms(12)));
     }
 
     #[test]
@@ -260,7 +263,7 @@ mod tests {
         let mut rng = Rng::new(7);
         for _ in 0..200 {
             let t = link.send(SimTime::ZERO, 100, 0.0, &mut rng);
-            let d = t.deliveries[0] - SimTime::ZERO;
+            let d = t.deliveries[0].expect("lossless link delivers") - SimTime::ZERO;
             assert!(d >= ms(10) && d <= ms(14), "delay {d}");
         }
     }

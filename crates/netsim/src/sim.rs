@@ -279,7 +279,7 @@ impl Simulator {
         if transit.reordered {
             self.stats.reordered[dir] += 1;
         }
-        if transit.deliveries.len() > 1 {
+        if transit.deliveries[1].is_some() {
             self.stats.duplicated[dir] += 1;
         }
 
@@ -295,8 +295,8 @@ impl Simulator {
         }
 
         let to = from.other();
-        self.stats.queue_pushes += transit.deliveries.len() as u64;
-        for at in transit.deliveries {
+        for at in transit.deliveries.into_iter().flatten() {
+            self.stats.queue_pushes += 1;
             self.queue.push(
                 at,
                 Pending::Deliver {

@@ -1,7 +1,11 @@
 //! Received-packet tracking and ACK generation (RFC 9000 §13.2).
+//!
+//! Received packet numbers are kept as merged ranges, updated in place per
+//! packet; an ACK frame is written straight from them into the outgoing
+//! datagram.
 
 use quicspin_netsim::{SimDuration, SimTime};
-use quicspin_wire::{AckRange, Frame};
+use quicspin_wire::{encode_ack, AckRange, Writer};
 
 /// Tracks received packet numbers in one packet-number space and decides
 /// when to send ACKs.
@@ -40,9 +44,16 @@ impl RecvTracker {
 
     /// Whether `pn` was already received (duplicate detection).
     pub fn contains(&self, pn: u64) -> bool {
+        let pos = self.ranges.partition_point(|&(start, _)| start <= pn);
+        pos > 0 && self.ranges[pos - 1].1 >= pn
+    }
+
+    /// The received ranges, descending by packet number (ACK frame order).
+    pub fn ranges(&self) -> impl ExactSizeIterator<Item = AckRange> + '_ {
         self.ranges
             .iter()
-            .any(|&(start, end)| pn >= start && pn <= end)
+            .rev()
+            .map(|&(start, end)| AckRange::new(start, end))
     }
 
     /// Records a received packet. Returns `false` for duplicates.
@@ -83,20 +94,21 @@ impl RecvTracker {
         true
     }
 
+    /// Adds a packet number not yet received, merging it into its
+    /// neighbours in place.
     fn insert(&mut self, pn: u64) {
         let pos = self.ranges.partition_point(|&(start, _)| start <= pn);
-        self.ranges.insert(pos, (pn, pn));
-        // Merge adjacent/overlapping ranges.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ranges.len());
-        for &(start, end) in self.ranges.iter() {
-            match merged.last_mut() {
-                Some(last) if start <= last.1.saturating_add(1) => {
-                    last.1 = last.1.max(end);
-                }
-                _ => merged.push((start, end)),
+        let joins_left = pos > 0 && self.ranges[pos - 1].1 + 1 == pn;
+        let joins_right = pos < self.ranges.len() && self.ranges[pos].0 == pn + 1;
+        match (joins_left, joins_right) {
+            (true, true) => {
+                self.ranges[pos - 1].1 = self.ranges[pos].1;
+                self.ranges.remove(pos);
             }
+            (true, false) => self.ranges[pos - 1].1 = pn,
+            (false, true) => self.ranges[pos].0 = pn,
+            (false, false) => self.ranges.insert(pos, (pn, pn)),
         }
-        self.ranges = merged;
     }
 
     /// Fires the delayed-ACK timer if expired.
@@ -129,32 +141,41 @@ impl RecvTracker {
         self.largest
     }
 
-    /// Builds an ACK frame covering everything received, resetting the
-    /// delayed-ACK machinery. Returns `None` if nothing was received.
-    pub fn make_ack(&mut self, now: SimTime) -> Option<Frame> {
-        let largest = self.largest?;
+    /// Writes an ACK frame covering everything received into `w`,
+    /// resetting the delayed-ACK machinery. The reported delay is the
+    /// hold time since the largest packet arrived plus `extra_delay_us`.
+    /// Writes nothing and returns `false` if nothing was received.
+    pub fn write_ack(&mut self, w: &mut Writer, now: SimTime, extra_delay_us: u64) -> bool {
+        let Some(largest) = self.largest else {
+            return false;
+        };
         let delay = now.saturating_since(self.largest_recv_time);
-        // Descending ranges, first contains `largest`.
-        let ranges: Vec<AckRange> = self
-            .ranges
-            .iter()
-            .rev()
-            .map(|&(start, end)| AckRange::new(start, end))
-            .collect();
+        encode_ack(
+            w,
+            largest,
+            delay.as_micros() + extra_delay_us,
+            self.ranges(),
+        );
         self.ack_now = false;
         self.ack_timer = None;
         self.eliciting_since_ack = 0;
-        Some(Frame::Ack {
-            largest,
-            delay_us: delay.as_micros(),
-            ranges,
-        })
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicspin_wire::{Frame, Reader};
+
+    impl RecvTracker {
+        /// [`RecvTracker::write_ack`], decoded back into a frame.
+        fn make_ack(&mut self, now: SimTime) -> Option<Frame> {
+            let mut w = Writer::new();
+            self.write_ack(&mut w, now, 0)
+                .then(|| Frame::decode(&mut Reader::new(w.as_slice())).unwrap())
+        }
+    }
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)

@@ -9,14 +9,15 @@
 
 use crate::ack::RecvTracker;
 use crate::config::TransportConfig;
-use crate::recovery::SentLedger;
+use crate::recovery::{AckOutcome, SentFrame, SentLedger};
 use crate::rtt::RttEstimator;
 use crate::spin::{SpinGenerator, SpinRole};
 use crate::streams::StreamSet;
 use quicspin_netsim::{Rng, SimDuration, SimTime};
 use quicspin_qlog::{EventData, PacketSpace, TraceLog};
 use quicspin_wire::{
-    ConnectionId, Frame, Header, LongHeader, LongType, Packet, PacketNumber, ShortHeader, Version,
+    encode_crypto, encode_padding, encode_stream, AckRange, ConnectionId, Frame, FrameRef, Header,
+    LongHeader, LongType, Packet, PacketNumber, PacketRef, ShortHeader, Version,
 };
 use std::collections::VecDeque;
 
@@ -108,14 +109,16 @@ struct Space {
     pn_next: u64,
     recv: RecvTracker,
     sent: SentLedger,
-    /// CRYPTO bytes queued for sending (sequential).
+    /// Every CRYPTO byte queued in this space, from crypto offset 0. Sent
+    /// bytes stay so a lost CRYPTO range can be re-read.
     crypto_out: Vec<u8>,
-    crypto_out_offset: u64,
+    /// Bytes of `crypto_out` already sent once.
+    crypto_sent: usize,
     /// CRYPTO reassembly (offset-keyed, reusing the stream machinery on a
     /// dedicated pseudo-stream).
     crypto_in: StreamSet,
     /// Frames queued for retransmission after loss/PTO.
-    retransmit: Vec<Frame>,
+    retransmit: Vec<SentFrame>,
 }
 
 impl Space {
@@ -125,7 +128,7 @@ impl Space {
             recv: RecvTracker::new(),
             sent: SentLedger::new(),
             crypto_out: Vec::new(),
-            crypto_out_offset: 0,
+            crypto_sent: 0,
             crypto_in: StreamSet::new(),
             retransmit: Vec::new(),
         }
@@ -209,6 +212,12 @@ pub struct Connection {
     ssthresh: u64,
     ca_credit: u64,
     counters: ConnCounters,
+    /// Scratch: the ranges of the ACK frame being processed.
+    ack_ranges: Vec<AckRange>,
+    /// Scratch: what the ACK being processed (or a PTO) acked and lost.
+    ack_outcome: AckOutcome,
+    /// Scratch: the retransmittable frames of the packet being built.
+    sent_frames: Vec<SentFrame>,
 }
 
 impl Connection {
@@ -247,12 +256,14 @@ impl Connection {
             ssthresh: u64::MAX,
             ca_credit: 0,
             counters: ConnCounters::default(),
+            ack_ranges: Vec::new(),
+            ack_outcome: AckOutcome::default(),
+            sent_frames: Vec::new(),
             cfg,
         };
         // ClientHello: tag + offered version code.
-        let mut ch = b"CH".to_vec();
-        ch.extend_from_slice(&conn.version.code().to_be_bytes());
-        conn.queue_crypto(PacketSpace::Initial, &ch);
+        let [a, b, c, d] = conn.version.code().to_be_bytes();
+        conn.queue_crypto(PacketSpace::Initial, &[b'C', b'H', a, b, c, d]);
         conn
     }
 
@@ -289,6 +300,9 @@ impl Connection {
             ssthresh: u64::MAX,
             ca_credit: 0,
             counters: ConnCounters::default(),
+            ack_ranges: Vec::new(),
+            ack_outcome: AckOutcome::default(),
+            sent_frames: Vec::new(),
             cfg,
         }
     }
@@ -394,6 +408,13 @@ impl Connection {
         self.events.pop_front()
     }
 
+    /// Hands back the buffer of an [`AppEvent::StreamData`] once its bytes
+    /// are consumed, so later stream data is assembled into it instead of
+    /// a fresh allocation.
+    pub fn recycle_stream_data(&mut self, data: Vec<u8>) {
+        self.streams.recycle(data);
+    }
+
     /// Queues stream data (only meaningful once established).
     pub fn send_stream(&mut self, id: u64, data: &[u8], fin: bool) {
         self.streams.write(id, data, fin);
@@ -415,7 +436,9 @@ impl Connection {
         if self.state == State::Closed {
             return;
         }
-        let Ok(packet) = Packet::decode(datagram, self.cfg.cid_len) else {
+        // Every frame is validated here, before any is acted on: a
+        // malformed frame drops the whole packet.
+        let Ok(packet) = PacketRef::decode(datagram, self.cfg.cid_len) else {
             self.counters.packets_undecodable += 1;
             return; // undecodable datagrams are dropped (counted, not logged)
         };
@@ -476,19 +499,24 @@ impl Connection {
             return; // duplicate: already processed
         }
 
-        for frame in packet.frames {
+        for frame in packet.frames() {
             self.handle_frame(now, space, frame);
         }
     }
 
-    fn handle_frame(&mut self, now: SimTime, space: PacketSpace, frame: Frame) {
+    fn handle_frame(&mut self, now: SimTime, space: PacketSpace, frame: FrameRef<'_>) {
         match frame {
-            Frame::Ack {
+            FrameRef::Ack {
                 delay_us, ranges, ..
             } => {
-                let outcome = self.spaces[space_index(space)]
-                    .sent
-                    .on_ack(&ranges, self.cfg.packet_threshold);
+                self.ack_ranges.clear();
+                self.ack_ranges.extend(ranges.iter());
+                let mut outcome = std::mem::take(&mut self.ack_outcome);
+                self.spaces[space_index(space)].sent.on_ack(
+                    &self.ack_ranges,
+                    self.cfg.packet_threshold,
+                    &mut outcome,
+                );
                 if let Some(sent_time) = outcome.rtt_sample_from {
                     let raw = now.saturating_since(sent_time);
                     // Cap the peer-reported delay at our max_ack_delay for
@@ -518,14 +546,13 @@ impl Connection {
                     let base = self.rtt.smoothed().max(self.rtt.latest());
                     base + base / 8
                 };
-                let timed_out = self.spaces[space_index(space)]
-                    .sent
-                    .detect_time_lost(now, loss_delay);
-                let mut outcome = outcome;
-                outcome.lost_pns.extend(timed_out.lost_pns);
-                outcome.lost_frames.extend(timed_out.lost_frames);
+                self.spaces[space_index(space)].sent.detect_time_lost(
+                    now,
+                    loss_delay,
+                    &mut outcome,
+                );
                 if space == PacketSpace::Application {
-                    self.on_congestion_ack(outcome.newly_acked.len() as u64);
+                    self.on_congestion_ack(outcome.newly_acked);
                     if !outcome.lost_pns.is_empty() {
                         self.on_congestion_loss();
                     }
@@ -540,16 +567,17 @@ impl Connection {
                         },
                     );
                 }
-                self.requeue_lost(space, outcome.lost_frames);
+                self.requeue_lost(space, &outcome.lost_frames);
+                self.ack_outcome = outcome;
             }
-            Frame::Crypto { offset, data } => {
+            FrameRef::Crypto { offset, data } => {
                 self.counters.frames_reassembled += 1;
                 self.spaces[space_index(space)]
                     .crypto_in
                     .on_frame(0, offset, data, false);
                 self.drive_handshake(now, space);
             }
-            Frame::Stream {
+            FrameRef::Stream {
                 id,
                 offset,
                 fin,
@@ -557,21 +585,19 @@ impl Connection {
             } => {
                 self.counters.frames_reassembled += 1;
                 self.streams.on_frame(id, offset, data, fin);
-                for readable in self.streams.readable() {
-                    if let Some((data, fin)) = self.streams.read(readable) {
-                        self.events.push_back(AppEvent::StreamData {
-                            id: readable,
-                            data,
-                            fin,
-                        });
-                    }
+                // Every other stream was drained after its own frames, so
+                // only this one can have become readable.
+                if let Some((data, fin)) = self.streams.read(id) {
+                    self.events
+                        .push_back(AppEvent::StreamData { id, data, fin });
                 }
             }
-            Frame::HandshakeDone => {
+            FrameRef::HandshakeDone => {
                 // Client-side handshake confirmation; completion already
                 // happened when the crypto flight finished.
             }
-            Frame::ConnectionClose { reason, .. } => {
+            FrameRef::ConnectionClose { reason, .. } => {
+                let reason = String::from_utf8_lossy(reason).into_owned();
                 self.state = State::Closed;
                 self.events.push_back(AppEvent::Closed {
                     reason: reason.clone(),
@@ -579,26 +605,17 @@ impl Connection {
                 self.qlog
                     .push(self.rel_us(now), EventData::ConnectionClosed { reason });
             }
-            Frame::Ping | Frame::Padding { .. } | Frame::NewConnectionId { .. } => {}
+            FrameRef::Ping | FrameRef::Padding { .. } | FrameRef::NewConnectionId { .. } => {}
         }
     }
 
-    fn requeue_lost(&mut self, space: PacketSpace, frames: Vec<Frame>) {
+    fn requeue_lost(&mut self, space: PacketSpace, frames: &[SentFrame]) {
         self.counters.frames_retransmitted += frames.len() as u64;
-        for frame in frames {
+        for &frame in frames {
             match frame {
-                Frame::Stream {
-                    id,
-                    offset,
-                    fin,
-                    data,
-                } => self.streams.requeue(id, offset, data, fin),
-                Frame::Crypto { offset, data } => {
-                    // Re-queue crypto bytes at their offset: handled by the
-                    // simple sequential model (offsets re-sent verbatim).
-                    let s = &mut self.spaces[space_index(space)];
-                    s.retransmit.push(Frame::Crypto { offset, data });
-                }
+                SentFrame::Stream(range) => self.streams.requeue(range),
+                // CRYPTO ranges, PING and HANDSHAKE_DONE go out again in
+                // this space, re-read at their original offsets.
                 other => self.spaces[space_index(space)].retransmit.push(other),
             }
         }
@@ -622,9 +639,8 @@ impl Connection {
                 if let Ok(v) = Version::from_code(code) {
                     self.version = v;
                 }
-                let mut sh = b"SH".to_vec();
-                sh.extend_from_slice(&self.version.code().to_be_bytes());
-                self.queue_crypto(PacketSpace::Initial, &sh);
+                let [a, b, c, d] = self.version.code().to_be_bytes();
+                self.queue_crypto(PacketSpace::Initial, &[b'S', b'H', a, b, c, d]);
                 // Server flight: certificate-equivalent + finished.
                 self.queue_crypto(PacketSpace::Handshake, b"SFIN");
                 self.crypto_state = CryptoState::SentServerFlight;
@@ -660,6 +676,7 @@ impl Connection {
             }
             _ => {}
         }
+        self.spaces[space_index(space)].crypto_in.recycle(data);
     }
 
     // ------------------------------------------------------------------
@@ -676,11 +693,14 @@ impl Connection {
         // Pending CONNECTION_CLOSE goes out in the highest usable space.
         if let Some(reason) = self.close_to_send.clone() {
             if !self.close_sent {
-                let frame = Frame::ConnectionClose {
+                // Nothing retransmittable rides with the close.
+                self.sent_frames.clear();
+                let close = Frame::ConnectionClose {
                     error_code: 0,
                     reason: reason.clone(),
                 };
-                let datagram = self.build_packet(now, PacketSpace::Application, vec![frame]);
+                let datagram =
+                    self.build_packet(now, PacketSpace::Application, false, Some(&close));
                 self.close_sent = true;
                 self.state = State::Closed;
                 self.events.push_back(AppEvent::Closed {
@@ -701,77 +721,65 @@ impl Connection {
         None
     }
 
+    /// Decides what the next packet of `space` carries and builds it.
+    /// Frame order: ACK, queued retransmissions, fresh CRYPTO,
+    /// HANDSHAKE_DONE, STREAM.
     fn poll_space(&mut self, now: SimTime, space: PacketSpace) -> Option<Vec<u8>> {
         let idx = space_index(space);
-        let mut frames: Vec<Frame> = Vec::new();
+        self.sent_frames.clear();
+        let s = &mut self.spaces[idx];
 
-        // 1. ACK if due. The reported delay covers both the intentional
-        // hold time and the processing latency the packet is about to
-        // incur, so the peer can subtract the full end-host share.
-        if self.spaces[idx].recv.wants_ack() {
-            if let Some(mut ack) = self.spaces[idx].recv.make_ack(now) {
-                if let Frame::Ack {
-                    ref mut delay_us, ..
-                } = ack
-                {
-                    *delay_us += self.cfg.ack_processing_latency.as_micros();
-                }
-                frames.push(ack);
-            }
+        // Retransmissions.
+        self.sent_frames.append(&mut s.retransmit);
+
+        // Fresh CRYPTO data.
+        if s.crypto_sent < s.crypto_out.len() {
+            let len = (s.crypto_out.len() - s.crypto_sent).min(self.cfg.max_payload);
+            self.sent_frames.push(SentFrame::Crypto {
+                offset: s.crypto_sent as u64,
+                len,
+            });
+            s.crypto_sent += len;
         }
 
-        // 2. Retransmissions.
-        if !self.spaces[idx].retransmit.is_empty() {
-            frames.append(&mut self.spaces[idx].retransmit);
-        }
-
-        // 3. Fresh CRYPTO data.
-        if !self.spaces[idx].crypto_out.is_empty() {
-            let s = &mut self.spaces[idx];
-            let take = s.crypto_out.len().min(self.cfg.max_payload);
-            let data: Vec<u8> = s.crypto_out.drain(..take).collect();
-            let offset = s.crypto_out_offset;
-            s.crypto_out_offset += take as u64;
-            frames.push(Frame::Crypto { offset, data });
-        }
-
-        // 4. Application data (1-RTT only, once established).
+        // Application data (1-RTT only, once established).
         if space == PacketSpace::Application && self.state == State::Established {
             if self.handshake_done_to_send {
-                frames.push(Frame::HandshakeDone);
+                self.sent_frames.push(SentFrame::HandshakeDone);
                 self.handshake_done_to_send = false;
             }
             let in_flight = self.spaces[idx].sent.eliciting_in_flight();
             if in_flight < self.cwnd {
-                if let Some(stream_frame) = self.streams.next_frame(self.cfg.max_payload) {
-                    frames.push(stream_frame);
+                if let Some(range) = self.streams.next_frame(self.cfg.max_payload) {
+                    self.sent_frames.push(SentFrame::Stream(range));
                 }
             }
         }
 
-        if frames.is_empty() {
+        // An ACK goes out when due, and rides along on any other packet
+        // (opportunistic bundling, RFC 9000 §13.2.2). This matters for
+        // the study: the request's ACK rides the first response packet,
+        // so fast servers do not leave a 25 ms delayed-ACK sample in the
+        // client's estimator.
+        let recv = &self.spaces[idx].recv;
+        let ack = recv.wants_ack() || (!self.sent_frames.is_empty() && recv.has_received());
+        if !ack && self.sent_frames.is_empty() {
             return None;
         }
-        // Opportunistic ACK bundling (RFC 9000 §13.2.2): any outgoing
-        // packet carries the current ACK state. This matters for the
-        // study: the request's ACK rides the first response packet, so
-        // fast servers do not leave a 25 ms delayed-ACK sample in the
-        // client's estimator.
-        if !frames.iter().any(|f| matches!(f, Frame::Ack { .. })) {
-            if let Some(mut ack) = self.spaces[idx].recv.make_ack(now) {
-                if let Frame::Ack {
-                    ref mut delay_us, ..
-                } = ack
-                {
-                    *delay_us += self.cfg.ack_processing_latency.as_micros();
-                }
-                frames.insert(0, ack);
-            }
-        }
-        Some(self.build_packet(now, space, frames))
+        Some(self.build_packet(now, space, ack, None))
     }
 
-    fn build_packet(&mut self, now: SimTime, space: PacketSpace, frames: Vec<Frame>) -> Vec<u8> {
+    /// Builds one packet straight into a datagram buffer: an ACK from the
+    /// receive tracker when `ack`, then the frames in `self.sent_frames`
+    /// (bytes re-read from the crypto and stream send buffers), then
+    /// `close`. Records the packet in the space's sent ledger.
+    fn build_packet(
+        &mut self,
+        now: SimTime,
+        space: PacketSpace,
+        ack: bool,
+        close: Option<&Frame>,
+    ) -> Vec<u8> {
         let idx = space_index(space);
         let pn = self.spaces[idx].pn_next;
         self.spaces[idx].pn_next += 1;
@@ -799,18 +807,9 @@ impl Connection {
             }
         };
 
-        let mut packet = Packet { header, frames };
-        // Client Initials are padded to at least 1200 bytes (RFC 9000
-        // §14.1, anti-amplification).
-        if self.role == Role::Client && space == PacketSpace::Initial {
-            let current = packet.encoded_len();
-            if current < 1200 {
-                packet.frames.push(Frame::Padding {
-                    len: 1200 - current,
-                });
-            }
-        }
-        let ack_eliciting = packet.is_ack_eliciting();
+        // Every retransmittable frame is ack-eliciting and every other
+        // frame (ACK, PADDING, CONNECTION_CLOSE) is not.
+        let ack_eliciting = !self.sent_frames.is_empty();
         self.last_send_latency = if ack_eliciting {
             self.cfg.processing_latency
         } else {
@@ -834,18 +833,57 @@ impl Connection {
                 Vec::new()
             }
         };
-        let datagram = packet.encode_into(buf);
+
+        // Client Initials are padded to at least 1200 bytes (RFC 9000
+        // §14.1, anti-amplification).
+        let pad_to = if self.role == Role::Client && space == PacketSpace::Initial {
+            1200
+        } else {
+            0
+        };
+        let ack_delay_us = self.cfg.ack_processing_latency.as_micros();
+        let Space {
+            recv, crypto_out, ..
+        } = &mut self.spaces[idx];
+        let (frames, streams) = (&self.sent_frames, &self.streams);
+        let datagram = Packet::encode_with(&header, buf, |w| {
+            if ack {
+                // The reported delay covers both the intentional hold
+                // time and the processing latency the packet is about to
+                // incur, so the peer can subtract the full end-host share.
+                recv.write_ack(w, now, ack_delay_us);
+            }
+            for frame in frames {
+                match *frame {
+                    SentFrame::Ping => Frame::Ping.encode(w),
+                    SentFrame::HandshakeDone => Frame::HandshakeDone.encode(w),
+                    SentFrame::Crypto { offset, len } => {
+                        encode_crypto(w, offset, &crypto_out[offset as usize..][..len]);
+                    }
+                    SentFrame::Stream(range) => {
+                        let data = streams.bytes(&range);
+                        encode_stream(w, range.id, range.offset, range.fin, data);
+                    }
+                }
+            }
+            if let Some(close) = close {
+                close.encode(w);
+            }
+            if w.len() < pad_to {
+                encode_padding(w, pad_to - w.len());
+            }
+        });
         self.counters.packets_sent += 1;
 
         self.spaces[idx]
             .sent
-            .on_sent(pn, now, ack_eliciting, packet.frames);
+            .on_sent(pn, now, ack_eliciting, &self.sent_frames);
         self.qlog.push(
             self.rel_us(now),
             EventData::PacketSent {
                 space,
                 packet_number: pn,
-                spin: packet.header.spin(),
+                spin: header.spin(),
                 size: datagram.len(),
                 ack_eliciting,
             },
@@ -957,15 +995,13 @@ impl Connection {
 
         // PTO.
         let pto = self.pto_interval();
-        let expired: Vec<usize> = (0..3)
-            .filter(|&i| {
-                self.spaces[i]
-                    .sent
-                    .pto_deadline(pto)
-                    .is_some_and(|d| now >= d)
-            })
-            .collect();
-        if !expired.is_empty() {
+        let expired = [0, 1, 2].map(|i| {
+            self.spaces[i]
+                .sent
+                .pto_deadline(pto)
+                .is_some_and(|d| now >= d)
+        });
+        if expired.contains(&true) {
             self.pto_count += 1;
             self.counters.ptos_fired += 1;
             if self.pto_count > MAX_PTO_COUNT {
@@ -982,16 +1018,18 @@ impl Connection {
                 );
                 return;
             }
-            for i in expired {
-                let frames = self.spaces[i].sent.drain_for_retransmit();
+            let mut frames = std::mem::take(&mut self.ack_outcome.lost_frames);
+            for i in (0..3).filter(|&i| expired[i]) {
+                frames.clear();
+                self.spaces[i].sent.drain_for_retransmit(&mut frames);
                 if frames.is_empty() {
                     // Nothing retransmittable: probe with a PING.
-                    self.spaces[i].retransmit.push(Frame::Ping);
+                    self.spaces[i].retransmit.push(SentFrame::Ping);
                 } else {
-                    let space = SPACES[i];
-                    self.requeue_lost(space, frames);
+                    self.requeue_lost(SPACES[i], &frames);
                 }
             }
+            self.ack_outcome.lost_frames = frames;
         }
     }
 }

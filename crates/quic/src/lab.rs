@@ -431,22 +431,23 @@ impl ConnectionLab {
                     AppEvent::HandshakeCompleted => {
                         client.send_stream(0, &cfg.request, true);
                     }
-                    AppEvent::StreamData { id: 0, data, fin } => {
-                        response_bytes += data.len();
-                        response_data.extend_from_slice(&data);
-                        if fin {
-                            client_done = true;
-                            client.close("request complete");
+                    AppEvent::StreamData { id, data, fin } => {
+                        if id == 0 {
+                            response_bytes += data.len();
+                            response_data.extend_from_slice(&data);
+                            if fin {
+                                client_done = true;
+                                client.close("request complete");
+                            }
                         }
+                        client.recycle_stream_data(data);
                     }
                     _ => {}
                 }
             }
             while let Some(ev) = server.poll_event() {
-                match ev {
-                    AppEvent::StreamData {
-                        id: 0, fin: true, ..
-                    } if !request_done => {
+                if let AppEvent::StreamData { id, data, fin } = ev {
+                    if id == 0 && fin && !request_done {
                         request_done = true;
                         // Schedule the response chunks.
                         let mut t = now + cfg.server_profile.initial_delay;
@@ -456,7 +457,7 @@ impl ConnectionLab {
                             sim.set_timer(Side::Server, t, TOKEN_APP_BASE + i as u64);
                         }
                     }
-                    _ => {}
+                    server.recycle_stream_data(data);
                 }
             }
 

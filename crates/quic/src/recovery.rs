@@ -1,38 +1,81 @@
 //! Sent-packet ledger, ACK processing, and loss detection (RFC 9002).
+//!
+//! The ledger is a window indexed by packet number: one slot per pn from
+//! the oldest packet still tracked to the newest sent, emptied when a
+//! packet is acknowledged or declared lost and trimmed from the front once
+//! the oldest slots are empty. What a packet carried is kept as
+//! [`SentFrame`]s — byte *ranges* of the connection's send buffers, not
+//! the bytes — in a second pn-ordered queue. Neither queue allocates once
+//! it has grown to the connection's largest flight.
 
+use crate::streams::StreamRange;
 use quicspin_netsim::{SimDuration, SimTime};
-use quicspin_wire::{AckRange, Frame};
-use std::collections::BTreeMap;
+use quicspin_wire::AckRange;
+use std::collections::VecDeque;
+
+/// A retransmittable frame as the ledger remembers it. CRYPTO and STREAM
+/// frames name the range of their send buffer; a retransmission re-reads
+/// the bytes from there. ACK, PADDING and CONNECTION_CLOSE frames are
+/// never retransmitted and so never recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SentFrame {
+    /// PING.
+    Ping,
+    /// HANDSHAKE_DONE.
+    HandshakeDone,
+    /// CRYPTO bytes `offset..offset + len` of the space's crypto stream.
+    Crypto {
+        /// Offset in the crypto stream.
+        offset: u64,
+        /// Number of bytes.
+        len: usize,
+    },
+    /// A STREAM frame.
+    Stream(StreamRange),
+}
 
 /// Book-keeping for one sent packet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SentPacket {
     time: SimTime,
     ack_eliciting: bool,
-    /// Frames worth retransmitting if this packet is lost (ACK and PADDING
-    /// frames are not).
-    retransmittable: Vec<Frame>,
+    /// Absolute index of the packet's first frame in the frame queue.
+    first_frame: u64,
+    /// Number of retransmittable frames the packet carried.
+    frames: usize,
 }
 
-/// Result of processing one ACK frame.
+/// Result of processing one ACK frame, filled by [`SentLedger::on_ack`]
+/// and extended by [`SentLedger::detect_time_lost`]. Reused across ACKs
+/// so loss detection allocates nothing once its vectors have grown.
 #[derive(Debug, Clone, Default)]
 pub struct AckOutcome {
-    /// RTT sample: (send time of the largest newly acked packet, was it
-    /// ack-eliciting). Only the largest newly acked, ack-eliciting packet
-    /// produces a sample (RFC 9002 §5.1).
+    /// Send time of the largest newly acked packet, when that packet is
+    /// ack-eliciting: only it produces an RTT sample (RFC 9002 §5.1).
     pub rtt_sample_from: Option<SimTime>,
-    /// Frames from packets declared lost, to be retransmitted.
-    pub lost_frames: Vec<Frame>,
-    /// Packet numbers declared lost (for qlog).
+    /// Frames from packets declared lost, to be retransmitted, in
+    /// ascending pn order of their packets.
+    pub lost_frames: Vec<SentFrame>,
+    /// Packet numbers declared lost (for qlog), ascending per detection.
     pub lost_pns: Vec<u64>,
-    /// Packet numbers newly acknowledged.
-    pub newly_acked: Vec<u64>,
+    /// Number of packets newly acknowledged.
+    pub newly_acked: u64,
 }
 
 /// Sent-packet ledger for one packet-number space.
 #[derive(Debug, Clone, Default)]
 pub struct SentLedger {
-    unacked: BTreeMap<u64, SentPacket>,
+    /// Packet number of `window[0]`.
+    base: u64,
+    /// One slot per pn from `base`; `None` once acknowledged or lost. The
+    /// front slot, when there is one, is always occupied.
+    window: VecDeque<Option<SentPacket>>,
+    /// Retransmittable frames of the packets in `window`, in pn order.
+    frames: VecDeque<SentFrame>,
+    /// Absolute index of `frames[0]`.
+    frames_base: u64,
+    /// Occupied slots.
+    tracked: usize,
     largest_acked: Option<u64>,
     /// Ack-eliciting packets in flight, maintained incrementally so the
     /// per-poll congestion and PTO queries never scan the ledger.
@@ -45,99 +88,144 @@ impl SentLedger {
         SentLedger::default()
     }
 
-    /// Records a sent packet.
-    pub fn on_sent(&mut self, pn: u64, time: SimTime, ack_eliciting: bool, frames: Vec<Frame>) {
-        // Retain in place: keeps the packet's frame allocation instead of
-        // collecting into a fresh vector on every sent packet.
-        let mut retransmittable = frames;
-        retransmittable.retain(|f| {
-            !matches!(
-                f,
-                Frame::Ack { .. } | Frame::Padding { .. } | Frame::ConnectionClose { .. }
-            )
-        });
+    /// Records a sent packet with its retransmittable frames. Packet
+    /// numbers must increase from call to call.
+    pub fn on_sent(&mut self, pn: u64, time: SimTime, ack_eliciting: bool, frames: &[SentFrame]) {
+        if self.window.is_empty() {
+            self.base = pn;
+        }
+        let slot = pn
+            .checked_sub(self.base)
+            .filter(|&i| i >= self.window.len() as u64)
+            .expect("packet numbers are sent in increasing order");
+        self.window.resize(slot as usize, None);
+        self.window.push_back(Some(SentPacket {
+            time,
+            ack_eliciting,
+            first_frame: self.frames_base + self.frames.len() as u64,
+            frames: frames.len(),
+        }));
+        self.frames.extend(frames);
+        self.tracked += 1;
         if ack_eliciting {
             self.eliciting += 1;
         }
-        self.unacked.insert(
-            pn,
-            SentPacket {
-                time,
-                ack_eliciting,
-                retransmittable,
-            },
-        );
     }
 
-    /// Removes a tracked packet, keeping the eliciting counter in sync.
-    fn remove(&mut self, pn: u64) -> SentPacket {
-        let sent = self.unacked.remove(&pn).expect("pn collected above");
+    /// Window slot of `pn`, if it is inside the window.
+    fn slot(&self, pn: u64) -> Option<usize> {
+        pn.checked_sub(self.base)
+            .filter(|&i| i < self.window.len() as u64)
+            .map(|i| i as usize)
+    }
+
+    /// Empties slot `i`, keeping the counters in sync. The window is
+    /// trimmed separately, by [`SentLedger::trim`], once a whole
+    /// operation is done: trimming here would shift the slots under a
+    /// caller's scan.
+    fn take(&mut self, i: usize) -> Option<SentPacket> {
+        let sent = self.window[i].take()?;
+        self.tracked -= 1;
         if sent.ack_eliciting {
             self.eliciting -= 1;
         }
-        sent
+        Some(sent)
     }
 
-    /// Processes an ACK frame's ranges; detects loss by packet threshold.
-    pub fn on_ack(&mut self, ranges: &[AckRange], packet_threshold: u64) -> AckOutcome {
-        let mut outcome = AckOutcome::default();
+    /// Empties slot `i` as lost, recording its pn and frames.
+    fn declare_lost(&mut self, i: usize, out: &mut AckOutcome) {
+        if let Some(sent) = self.take(i) {
+            out.lost_pns.push(self.base + i as u64);
+            self.copy_frames(&sent, &mut out.lost_frames);
+        }
+    }
+
+    fn copy_frames(&self, sent: &SentPacket, out: &mut Vec<SentFrame>) {
+        let first = (sent.first_frame - self.frames_base) as usize;
+        out.extend(self.frames.range(first..first + sent.frames));
+    }
+
+    /// Drops the empty slots at the front of the window and the frames of
+    /// the packets they held.
+    fn trim(&mut self) {
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        let keep_from = match self.window.front() {
+            Some(Some(front)) => front.first_frame,
+            _ => self.frames_base + self.frames.len() as u64,
+        };
+        self.frames.drain(..(keep_from - self.frames_base) as usize);
+        self.frames_base = keep_from;
+    }
+
+    /// Processes an ACK frame's ranges (descending) into `out`, which is
+    /// cleared first; detects loss by packet threshold.
+    pub fn on_ack(&mut self, ranges: &[AckRange], packet_threshold: u64, out: &mut AckOutcome) {
+        out.rtt_sample_from = None;
+        out.lost_frames.clear();
+        out.lost_pns.clear();
+        out.newly_acked = 0;
         let mut largest_newly: Option<(u64, SimTime, bool)> = None;
 
         for range in ranges {
-            // Pop the acked pns inside this range that we still track.
-            while let Some((&pn, _)) = self.unacked.range(range.start..=range.end).next() {
-                let sent = self.remove(pn);
+            // The acked pns inside this range that we still track.
+            let first = range.start.max(self.base);
+            let last = range.end.min(self.base + self.window.len() as u64);
+            for pn in first..=last {
+                let Some(sent) = self.slot(pn).and_then(|i| self.take(i)) else {
+                    continue;
+                };
                 if largest_newly.is_none_or(|(l, _, _)| pn > l) {
                     largest_newly = Some((pn, sent.time, sent.ack_eliciting));
                 }
-                outcome.newly_acked.push(pn);
+                out.newly_acked += 1;
             }
             if self.largest_acked.is_none_or(|l| range.end > l) {
                 self.largest_acked = Some(range.end);
             }
         }
 
-        if let Some((_, time, eliciting)) = largest_newly {
-            if eliciting {
-                outcome.rtt_sample_from = Some(time);
-            }
+        if let Some((_, time, true)) = largest_newly {
+            out.rtt_sample_from = Some(time);
         }
 
         // Packet-threshold loss detection (RFC 9002 §6.1.1): anything more
         // than `packet_threshold` below the largest acked is lost.
         if let Some(largest) = self.largest_acked {
             let cutoff = largest.saturating_sub(packet_threshold);
-            while let Some((&pn, _)) = self.unacked.range(..cutoff).next() {
-                let sent = self.remove(pn);
-                outcome.lost_pns.push(pn);
-                outcome.lost_frames.extend(sent.retransmittable);
+            let below = cutoff
+                .saturating_sub(self.base)
+                .min(self.window.len() as u64);
+            for i in 0..below as usize {
+                self.declare_lost(i, out);
             }
         }
-
-        outcome
+        self.trim();
     }
 
     /// Time-threshold loss detection (RFC 9002 §6.1.2): packets sent
     /// before `now - loss_delay` with a packet number below the largest
-    /// acknowledged are declared lost. Returns the affected packet
-    /// numbers and their retransmittable frames.
-    pub fn detect_time_lost(&mut self, now: SimTime, loss_delay: SimDuration) -> AckOutcome {
-        let mut outcome = AckOutcome::default();
+    /// acknowledged are declared lost, appended to `out`.
+    pub fn detect_time_lost(
+        &mut self,
+        now: SimTime,
+        loss_delay: SimDuration,
+        out: &mut AckOutcome,
+    ) {
         let Some(largest) = self.largest_acked else {
-            return outcome;
+            return;
         };
-        let lost: Vec<u64> = self
-            .unacked
-            .range(..largest)
-            .filter(|(_, p)| now.saturating_since(p.time) >= loss_delay)
-            .map(|(&pn, _)| pn)
-            .collect();
-        for pn in lost {
-            let sent = self.remove(pn);
-            outcome.lost_pns.push(pn);
-            outcome.lost_frames.extend(sent.retransmittable);
+        let below = largest
+            .saturating_sub(self.base)
+            .min(self.window.len() as u64);
+        for i in 0..below as usize {
+            if self.window[i].is_some_and(|p| now.saturating_since(p.time) >= loss_delay) {
+                self.declare_lost(i, out);
+            }
         }
-        outcome
+        self.trim();
     }
 
     /// Whether any ack-eliciting packet is still in flight.
@@ -152,13 +240,14 @@ impl SentLedger {
 
     /// Send time of the oldest ack-eliciting packet in flight. Packet
     /// numbers and send times grow together within a space, so the first
-    /// eliciting entry in pn order is the oldest — no full scan needed.
+    /// eliciting entry in pn order is the oldest.
     pub fn oldest_eliciting_time(&self) -> Option<SimTime> {
         if self.eliciting == 0 {
             return None;
         }
-        self.unacked
-            .values()
+        self.window
+            .iter()
+            .flatten()
             .find(|p| p.ack_eliciting)
             .map(|p| p.time)
     }
@@ -168,26 +257,22 @@ impl SentLedger {
         self.oldest_eliciting_time().map(|t| t + pto)
     }
 
-    /// Drains the retransmittable frames of every in-flight ack-eliciting
-    /// packet (PTO recovery: retransmit everything outstanding).
-    pub fn drain_for_retransmit(&mut self) -> Vec<Frame> {
-        let mut frames = Vec::new();
-        let pns: Vec<u64> = self
-            .unacked
-            .iter()
-            .filter(|(_, p)| p.ack_eliciting)
-            .map(|(&pn, _)| pn)
-            .collect();
-        for pn in pns {
-            let sent = self.remove(pn);
-            frames.extend(sent.retransmittable);
+    /// Appends the retransmittable frames of every in-flight
+    /// ack-eliciting packet to `out`, in pn order, and stops tracking
+    /// those packets (PTO recovery: retransmit everything outstanding).
+    pub fn drain_for_retransmit(&mut self, out: &mut Vec<SentFrame>) {
+        for i in 0..self.window.len() {
+            if self.window[i].is_some_and(|p| p.ack_eliciting) {
+                let sent = self.take(i).expect("slot checked above");
+                self.copy_frames(&sent, out);
+            }
         }
-        frames
+        self.trim();
     }
 
     /// Number of packets still unacknowledged.
     pub fn in_flight(&self) -> usize {
-        self.unacked.len()
+        self.tracked
     }
 }
 
@@ -200,7 +285,19 @@ mod tests {
     }
 
     fn ping_at(ledger: &mut SentLedger, pn: u64, t: u64) {
-        ledger.on_sent(pn, at(t), true, vec![Frame::Ping]);
+        ledger.on_sent(pn, at(t), true, &[SentFrame::Ping]);
+    }
+
+    fn ack(ledger: &mut SentLedger, ranges: &[AckRange], threshold: u64) -> AckOutcome {
+        let mut out = AckOutcome::default();
+        ledger.on_ack(ranges, threshold, &mut out);
+        out
+    }
+
+    fn time_lost(ledger: &mut SentLedger, now: SimTime, delay: SimDuration) -> AckOutcome {
+        let mut out = AckOutcome::default();
+        ledger.detect_time_lost(now, delay, &mut out);
+        out
     }
 
     #[test]
@@ -208,29 +305,29 @@ mod tests {
         let mut l = SentLedger::new();
         ping_at(&mut l, 0, 0);
         ping_at(&mut l, 1, 10);
-        let out = l.on_ack(&[AckRange::new(0, 1)], 3);
+        let out = ack(&mut l, &[AckRange::new(0, 1)], 3);
         assert_eq!(out.rtt_sample_from, Some(at(10)));
-        assert_eq!(out.newly_acked, vec![0, 1]);
+        assert_eq!(out.newly_acked, 2);
         assert_eq!(l.in_flight(), 0);
     }
 
     #[test]
     fn non_eliciting_ack_gives_no_sample() {
         let mut l = SentLedger::new();
-        l.on_sent(0, at(0), false, vec![Frame::Padding { len: 1 }]);
-        let out = l.on_ack(&[AckRange::new(0, 0)], 3);
+        l.on_sent(0, at(0), false, &[]);
+        let out = ack(&mut l, &[AckRange::new(0, 0)], 3);
         assert_eq!(out.rtt_sample_from, None);
-        assert_eq!(out.newly_acked, vec![0]);
+        assert_eq!(out.newly_acked, 1);
     }
 
     #[test]
     fn duplicate_ack_is_harmless() {
         let mut l = SentLedger::new();
         ping_at(&mut l, 0, 0);
-        l.on_ack(&[AckRange::new(0, 0)], 3);
-        let out = l.on_ack(&[AckRange::new(0, 0)], 3);
+        ack(&mut l, &[AckRange::new(0, 0)], 3);
+        let out = ack(&mut l, &[AckRange::new(0, 0)], 3);
         assert_eq!(out.rtt_sample_from, None);
-        assert!(out.newly_acked.is_empty());
+        assert_eq!(out.newly_acked, 0);
     }
 
     #[test]
@@ -240,34 +337,45 @@ mod tests {
             ping_at(&mut l, pn, pn);
         }
         // ACK only pn 5: cutoff = 5 - 3 = 2 → pns 0 and 1 lost.
-        let out = l.on_ack(&[AckRange::new(5, 5)], 3);
+        let out = ack(&mut l, &[AckRange::new(5, 5)], 3);
         assert_eq!(out.lost_pns, vec![0, 1]);
-        assert_eq!(out.lost_frames, vec![Frame::Ping, Frame::Ping]);
+        assert_eq!(out.lost_frames, vec![SentFrame::Ping, SentFrame::Ping]);
         // pns 2, 3, 4 still in flight.
         assert_eq!(l.in_flight(), 3);
     }
 
     #[test]
-    fn ack_and_padding_frames_not_retransmitted() {
+    fn lost_frames_come_back_in_pn_order_as_ranges() {
         let mut l = SentLedger::new();
+        let stream = |offset| {
+            SentFrame::Stream(StreamRange {
+                id: 0,
+                offset,
+                len: 1000,
+                fin: false,
+            })
+        };
         l.on_sent(
             0,
             at(0),
             true,
-            vec![
-                Frame::Ping,
-                Frame::Padding { len: 10 },
-                Frame::Ack {
-                    largest: 0,
-                    delay_us: 0,
-                    ranges: vec![AckRange::new(0, 0)],
-                },
-            ],
+            &[SentFrame::Crypto { offset: 0, len: 6 }, stream(0)],
         );
-        ping_at(&mut l, 5, 1);
-        let out = l.on_ack(&[AckRange::new(5, 5)], 3);
-        assert_eq!(out.lost_pns, vec![0]);
-        assert_eq!(out.lost_frames, vec![Frame::Ping], "only PING survives");
+        l.on_sent(1, at(1), false, &[]);
+        l.on_sent(2, at(2), true, &[stream(1000), SentFrame::HandshakeDone]);
+        ping_at(&mut l, 6, 3);
+        let out = ack(&mut l, &[AckRange::new(6, 6)], 3);
+        assert_eq!(out.lost_pns, vec![0, 1, 2]);
+        assert_eq!(
+            out.lost_frames,
+            vec![
+                SentFrame::Crypto { offset: 0, len: 6 },
+                stream(0),
+                stream(1000),
+                SentFrame::HandshakeDone
+            ]
+        );
+        assert_eq!(l.in_flight(), 0);
     }
 
     #[test]
@@ -277,7 +385,7 @@ mod tests {
         ping_at(&mut l, 0, 50);
         ping_at(&mut l, 1, 80);
         assert_eq!(l.pto_deadline(SimDuration::from_millis(100)), Some(at(150)));
-        l.on_ack(&[AckRange::new(0, 0)], 3);
+        ack(&mut l, &[AckRange::new(0, 0)], 3);
         assert_eq!(l.pto_deadline(SimDuration::from_millis(100)), Some(at(180)));
     }
 
@@ -285,9 +393,10 @@ mod tests {
     fn drain_for_retransmit_empties_eliciting() {
         let mut l = SentLedger::new();
         ping_at(&mut l, 0, 0);
-        l.on_sent(1, at(1), false, vec![Frame::Padding { len: 1 }]);
-        let frames = l.drain_for_retransmit();
-        assert_eq!(frames, vec![Frame::Ping]);
+        l.on_sent(1, at(1), false, &[]);
+        let mut frames = Vec::new();
+        l.drain_for_retransmit(&mut frames);
+        assert_eq!(frames, vec![SentFrame::Ping]);
         assert!(!l.has_eliciting_in_flight());
         assert_eq!(l.in_flight(), 1, "non-eliciting stays");
     }
@@ -298,14 +407,31 @@ mod tests {
         for pn in 0..10 {
             ping_at(&mut l, pn, pn);
         }
-        let out = l.on_ack(
+        let out = ack(
+            &mut l,
             &[AckRange::new(8, 9), AckRange::new(3, 4)],
             100, // large threshold: no loss
         );
-        assert_eq!(out.newly_acked, vec![8, 9, 3, 4]);
+        assert_eq!(out.newly_acked, 4);
         assert_eq!(out.rtt_sample_from, Some(at(9)));
         assert!(out.lost_pns.is_empty());
         assert_eq!(l.in_flight(), 6);
+    }
+
+    #[test]
+    fn acks_outside_the_window_are_ignored() {
+        let mut l = SentLedger::new();
+        for pn in 10..13 {
+            ping_at(&mut l, pn, pn);
+        }
+        let out = ack(&mut l, &[AckRange::new(40, 60), AckRange::new(0, 9)], 100);
+        assert_eq!(out.newly_acked, 0);
+        assert_eq!(l.in_flight(), 3);
+        // The front trims as the oldest packets go; later ones still map.
+        ack(&mut l, &[AckRange::new(10, 11)], 100);
+        ping_at(&mut l, 13, 13);
+        let out = ack(&mut l, &[AckRange::new(13, 13)], 100);
+        assert_eq!((out.newly_acked, l.in_flight()), (1, 1));
     }
 
     #[test]
@@ -315,10 +441,10 @@ mod tests {
         ping_at(&mut l, 1, 5);
         ping_at(&mut l, 2, 10);
         // ACK pn 2 only; threshold 3 keeps 0 and 1 alive (gap < 3).
-        let out = l.on_ack(&[AckRange::new(2, 2)], 3);
+        let out = ack(&mut l, &[AckRange::new(2, 2)], 3);
         assert!(out.lost_pns.is_empty());
         // 50 ms later with a 40 ms loss delay, pn 0 and 1 time out.
-        let out = l.detect_time_lost(at(50), SimDuration::from_millis(40));
+        let out = time_lost(&mut l, at(50), SimDuration::from_millis(40));
         assert_eq!(out.lost_pns, vec![0, 1]);
         assert_eq!(out.lost_frames.len(), 2);
         assert_eq!(l.in_flight(), 0);
@@ -329,8 +455,8 @@ mod tests {
         let mut l = SentLedger::new();
         ping_at(&mut l, 0, 0);
         ping_at(&mut l, 5, 48); // above largest acked
-        l.on_ack(&[AckRange::new(3, 3)], 100);
-        let out = l.detect_time_lost(at(50), SimDuration::from_millis(40));
+        ack(&mut l, &[AckRange::new(3, 3)], 100);
+        let out = time_lost(&mut l, at(50), SimDuration::from_millis(40));
         assert_eq!(out.lost_pns, vec![0], "pn 5 > largest acked survives");
         assert_eq!(l.in_flight(), 1);
     }
@@ -339,7 +465,7 @@ mod tests {
     fn time_threshold_noop_without_acks() {
         let mut l = SentLedger::new();
         ping_at(&mut l, 0, 0);
-        let out = l.detect_time_lost(at(1_000), SimDuration::from_millis(1));
+        let out = time_lost(&mut l, at(1_000), SimDuration::from_millis(1));
         assert!(out.lost_pns.is_empty(), "no largest_acked yet");
     }
 
@@ -354,13 +480,14 @@ mod tests {
                 ping_at(&mut l, pn, pn);
             }
             let ranges: Vec<AckRange> = acked.iter().rev().map(|&p| AckRange::new(p, p)).collect();
-            let out = l.on_ack(&ranges, 3);
-            let n_acked = out.newly_acked.len();
+            let out = ack(&mut l, &ranges, 3);
+            let n_acked = out.newly_acked as usize;
             let n_lost = out.lost_pns.len();
             proptest::prop_assert_eq!(n_acked + n_lost + l.in_flight(), sent.len());
-            for pn in &out.newly_acked {
-                proptest::prop_assert!(acked.contains(pn) && sent.contains(pn));
-            }
+            proptest::prop_assert_eq!(
+                n_acked,
+                sent.intersection(&acked).count()
+            );
         }
     }
 }

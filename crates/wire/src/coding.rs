@@ -69,6 +69,19 @@ impl<'a> Reader<'a> {
         s
     }
 
+    /// Consumes a run of zero bytes and returns its length.
+    pub fn skip_zeros(&mut self) -> usize {
+        let run = self.buf[self.pos..].iter().take_while(|&&b| b == 0).count();
+        self.pos += run;
+        run
+    }
+
+    /// The bytes consumed since offset `start` (an earlier
+    /// [`position`](Reader::position)).
+    pub fn consumed_since(&self, start: usize) -> &'a [u8] {
+        &self.buf[start..self.pos]
+    }
+
     /// Peeks at the next byte without consuming it.
     pub fn peek_u8(&self) -> Option<u8> {
         self.buf.get(self.pos).copied()
@@ -125,6 +138,11 @@ impl Writer {
     /// Appends a big-endian u32.
     pub fn write_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    /// Appends `n` zero bytes.
+    pub fn write_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// Appends a byte slice verbatim.

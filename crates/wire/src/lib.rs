@@ -14,8 +14,9 @@
 //! * the frame subset used by the simulated endpoints (PADDING, PING, ACK,
 //!   CRYPTO, STREAM, HANDSHAKE_DONE, CONNECTION_CLOSE, NEW_CONNECTION_ID).
 //!
-//! The codec is strictly deterministic and allocation-light; encoding writes
-//! into a caller-provided `Vec<u8>`, decoding borrows from a byte slice.
+//! The codec is strictly deterministic and allocation-free on the packet
+//! path: encoding writes into a caller-provided `Vec<u8>`, and decoding
+//! ([`PacketRef`], [`FrameRef`]) borrows from the datagram.
 //!
 //! Header protection / packet encryption is intentionally *not* applied:
 //! the simulator transports plaintext packets and the passive observer is
@@ -36,8 +37,11 @@ pub mod version;
 pub use cid::ConnectionId;
 pub use coding::{Reader, Writer};
 pub use error::WireError;
-pub use frame::{AckRange, Frame};
+pub use frame::{
+    encode_ack, encode_crypto, encode_padding, encode_stream, AckRange, AckRanges, Frame, FrameRef,
+    Frames,
+};
 pub use header::{Header, LongHeader, LongType, ObservableShortHeader, ShortHeader};
-pub use packet::{expand_packet_number, truncate_packet_number, Packet, PacketNumber};
+pub use packet::{expand_packet_number, truncate_packet_number, Packet, PacketNumber, PacketRef};
 pub use varint::VarInt;
 pub use version::Version;

@@ -2,7 +2,7 @@
 
 use crate::coding::{Reader, Writer};
 use crate::error::WireError;
-use crate::frame::Frame;
+use crate::frame::{Frame, FrameRef, Frames};
 use crate::header::Header;
 
 /// A full, untruncated QUIC packet number (62-bit space).
@@ -63,6 +63,57 @@ pub fn expand_packet_number(truncated: u64, bytes: usize, largest: Option<u64>) 
     }
 }
 
+/// Decodes the header and the length prefix; returns the payload.
+fn split_datagram(datagram: &[u8], cid_len: usize) -> Result<(Header, &[u8]), WireError> {
+    let mut r = Reader::new(datagram);
+    let header = Header::decode(&mut r, cid_len)?;
+    let len = usize::from(r.read_u16("payload length")?);
+    let payload = r.read_bytes(len, "payload")?;
+    Ok((header, payload))
+}
+
+/// A decoded packet whose frames still borrow the datagram.
+///
+/// [`PacketRef::decode`] validates every frame before it returns, so a
+/// receiver can act on the frames knowing the whole payload is well
+/// formed — a malformed frame anywhere drops the packet before any of it
+/// is processed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PacketRef<'a> {
+    /// Packet header (long or short).
+    pub header: Header,
+    /// The validated frame payload.
+    payload: &'a [u8],
+    ack_eliciting: bool,
+}
+
+impl<'a> PacketRef<'a> {
+    /// Decodes a datagram produced by [`Packet::encode`], checking every
+    /// frame of the payload.
+    pub fn decode(datagram: &'a [u8], cid_len: usize) -> Result<Self, WireError> {
+        let (header, payload) = split_datagram(datagram, cid_len)?;
+        let mut ack_eliciting = false;
+        for frame in Frames::new(payload) {
+            ack_eliciting |= frame?.is_ack_eliciting();
+        }
+        Ok(PacketRef {
+            header,
+            payload,
+            ack_eliciting,
+        })
+    }
+
+    /// The frames, in payload order.
+    pub fn frames(&self) -> impl Iterator<Item = FrameRef<'a>> {
+        Frames::new(self.payload).map(|f| f.expect("payload validated at decode"))
+    }
+
+    /// Whether any frame is ack-eliciting.
+    pub fn is_ack_eliciting(&self) -> bool {
+        self.ack_eliciting
+    }
+}
+
 /// A decoded QUIC packet: header plus its frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
@@ -88,30 +139,38 @@ impl Packet {
     /// allocation — senders can recycle delivered datagram buffers
     /// instead of allocating per packet.
     pub fn encode_into(&self, buf: Vec<u8>) -> Vec<u8> {
+        Packet::encode_with(&self.header, buf, |w| {
+            for frame in &self.frames {
+                frame.encode(w);
+            }
+        })
+    }
+
+    /// Encodes a packet whose payload `frames` writes straight into the
+    /// datagram: `header`, the payload length, then the payload, all in
+    /// `buf` (cleared first). The writer passed to `frames` already holds
+    /// the header, so `w.len()` is the datagram length so far.
+    pub fn encode_with(header: &Header, buf: Vec<u8>, frames: impl FnOnce(&mut Writer)) -> Vec<u8> {
         // Single pass into one MTU-sized buffer: header, a length
         // placeholder, then the frames, back-patching the length. Avoids
         // the staging buffer (and its growth reallocations) a
         // payload-first encode would need.
         let mut w = Writer::from_vec(buf, 1500);
-        self.header.encode(&mut w);
+        header.encode(&mut w);
         let len_at = w.len();
         w.write_u16(0);
         let payload_start = w.len();
-        for frame in &self.frames {
-            frame.encode(&mut w);
-        }
+        frames(&mut w);
         let payload_len = w.len() - payload_start;
         assert!(payload_len <= usize::from(u16::MAX), "payload too large");
         w.patch_u16(len_at, payload_len as u16);
         w.into_bytes()
     }
 
-    /// Decodes a datagram produced by [`Packet::encode`].
+    /// Decodes a datagram produced by [`Packet::encode`] into owned
+    /// frames.
     pub fn decode(datagram: &[u8], cid_len: usize) -> Result<Self, WireError> {
-        let mut r = Reader::new(datagram);
-        let header = Header::decode(&mut r, cid_len)?;
-        let len = usize::from(r.read_u16("payload length")?);
-        let payload = r.read_bytes(len, "payload")?;
+        let (header, payload) = split_datagram(datagram, cid_len)?;
         let frames = Frame::decode_all(payload)?;
         Ok(Packet { header, frames })
     }

@@ -33,6 +33,9 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
 # The 10^6-packet observer benches, once each: affordable only because
 # per-flow observer state is fixed-size (per-packet cost is O(1)).
 cargo bench -p quicspin-bench --bench micro -- --test observer
+# One full simulated QUIC exchange through the allocation-free packet
+# path (borrowed frame decode, range-based STREAM sends).
+cargo bench -p quicspin-bench --bench micro -- --test connection
 
 # spinctl smoke: tiny flight-recorded campaign (tap on by default), then
 # read every artifact back through the CLI (summary, anomaly listing,
