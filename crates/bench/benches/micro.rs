@@ -1,11 +1,17 @@
 //! Microbenchmarks of the substrates: wire codec, spin observer,
-//! connection handshake, and simulator event throughput.
+//! connection handshake, simulator event throughput, and the JSON
+//! artifact writers and readers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_core::{Direction, ObserverConfig, PacketObservation, SpinObserver};
 use quicspin_netsim::{LinkConfig, Side, SimDuration, Simulator};
 use quicspin_observer::{FlowObserver, ObservedPacket};
 use quicspin_quic::{ConnectionLab, LabConfig};
+use quicspin_scanner::{
+    chrome_trace_export, read_chrome_trace, read_observer, write_chrome_trace, write_observer,
+    CampaignConfig, FlightConfig, ObserverDoc, Scanner,
+};
+use quicspin_webpop::{Population, PopulationConfig};
 use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, ShortHeader};
 
 fn wire_codec(c: &mut Criterion) {
@@ -119,11 +125,63 @@ fn simulator_events(c: &mut Criterion) {
     group.finish();
 }
 
+/// Writes and reads back `observer.json` and `trace.json` of a fixed
+/// seeded campaign (4 000 domains, 5 % loss, tap at 0.5, flight recorder
+/// armed), through the same functions `spinctl run` uses. The campaign
+/// runs on first use, so name filters that skip this group skip it too.
+fn artifact_io(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("quicspin-bench-artifacts-{}", std::process::id()));
+    let fixture = std::cell::OnceCell::new();
+    let setup = || {
+        let population = Population::generate(PopulationConfig {
+            seed: 0xa7,
+            toplist_domains: 500,
+            zone_domains: 3_500,
+        });
+        let mut config = CampaignConfig {
+            flight: FlightConfig::armed(0xa7),
+            tap: Some(0.5),
+            ..CampaignConfig::default()
+        };
+        config.conditions.loss = 0.05;
+        let (campaign, recording) = Scanner::new(&population).run_campaign_flight(&config);
+        let doc = ObserverDoc::from_records(&config.campaign_id(), 0.5, &campaign.records);
+        let events = chrome_trace_export(&recording);
+        write_observer(&dir, &doc).unwrap();
+        write_chrome_trace(&dir, &events).unwrap();
+        (doc, events)
+    };
+
+    let mut group = c.benchmark_group("artifacts");
+    group.sample_size(20);
+    group.bench_function("observer_write", |b| {
+        let (doc, _) = fixture.get_or_init(setup);
+        b.iter(|| write_observer(&dir, std::hint::black_box(doc)).unwrap())
+    });
+    group.bench_function("observer_read", |b| {
+        fixture.get_or_init(setup);
+        b.iter(|| read_observer(&dir).unwrap().flows.len())
+    });
+    group.bench_function("trace_write", |b| {
+        let (_, events) = fixture.get_or_init(setup);
+        b.iter(|| write_chrome_trace(&dir, std::hint::black_box(events)).unwrap())
+    });
+    group.bench_function("trace_read", |b| {
+        fixture.get_or_init(setup);
+        b.iter(|| read_chrome_trace(&dir).unwrap().len())
+    });
+    group.finish();
+    if fixture.get().is_some() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 criterion_group!(
     benches,
     wire_codec,
     observer_throughput,
     connection_exchange,
-    simulator_events
+    simulator_events,
+    artifact_io
 );
 criterion_main!(benches);

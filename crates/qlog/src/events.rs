@@ -122,6 +122,56 @@ impl LoggedEvent {
 mod tests {
     use super::*;
 
+    /// The derived readers of the flattened, internally tagged event:
+    /// the tag may sit at any position, unknown keys are skipped, a
+    /// repeated key keeps its first value, omitted `default` fields take
+    /// their default, and required fields and malformed skipped values
+    /// are still errors.
+    #[test]
+    fn tagged_event_json_reads_in_any_member_order() {
+        let text = r#"{"size":100,"extra":{"a":[1,2]},"packet_number":7,"size":5,
+            "space":"application","time_us":1000,"name":"packet_received"}"#;
+        let ev: LoggedEvent = serde_json::from_str(text).unwrap();
+        let expected = EventData::PacketReceived {
+            space: PacketSpace::Application,
+            packet_number: 7,
+            spin: None,
+            size: 100,
+        };
+        assert_eq!(ev, LoggedEvent::new(1000, expected));
+        let closed = r#"{"time_us":3,"reason":"idle","name":"connection_closed"}"#;
+        let ev: LoggedEvent = serde_json::from_str(closed).unwrap();
+        assert_eq!(
+            ev.data,
+            EventData::ConnectionClosed {
+                reason: "idle".into()
+            }
+        );
+        assert_eq!(
+            serde_json::from_str::<LoggedEvent>(&serde_json::to_string(&ev).unwrap()).unwrap(),
+            ev
+        );
+
+        let err = |text: &str| serde_json::from_str::<LoggedEvent>(text).unwrap_err().0;
+        assert_eq!(
+            err(r#"{"time_us":3,"name":"packet_lost","space":"initial"}"#),
+            "missing field `packet_number` while deserializing EventData"
+        );
+        assert_eq!(
+            err(r#"{"time_us":3}"#),
+            "missing field `name` while deserializing EventData"
+        );
+        assert_eq!(
+            err(r#"{"name":"handshake_completed"}"#),
+            "missing field `time_us` while deserializing LoggedEvent"
+        );
+        assert_eq!(
+            err(r#"{"time_us":3,"name":"hello"}"#),
+            "unknown variant `hello` of EventData"
+        );
+        assert!(err(r#"{"time_us":3,"name":"handshake_completed","x":[1,}"#).contains("offset"));
+    }
+
     #[test]
     fn spin_observation_extraction() {
         let ev = LoggedEvent::new(

@@ -21,7 +21,7 @@ use crate::campaign::{Campaign, CampaignConfig};
 use crate::flight::FlightRecording;
 use crate::record::ScanOutcome;
 use quicspin_core::FlowClassification;
-use quicspin_qlog::{chrome_trace_events, ChromeArgs, ChromeEvent};
+use quicspin_qlog::{chrome_trace_events, decode_trace, ChromeArgs, ChromeEvent};
 use quicspin_telemetry::{
     CounterSnapshot, HistogramShard, SeriesClock, TimePoint, TimeSeries, TimeSeriesDoc,
 };
@@ -194,15 +194,21 @@ pub fn build_timeseries(
 /// counter series on a `(domain, hop)` process/thread row, and every
 /// anomaly of a retained probe becomes an instant mark named after its
 /// kind. The output is deterministic (priority order, virtual time).
+///
+/// The anomalies are sorted by probe, so each retained probe's anomalies
+/// are one contiguous range, found by binary search.
 pub fn chrome_trace_export(recording: &FlightRecording) -> Vec<ChromeEvent> {
+    let anomalies = recording.anomalies();
     let mut events = Vec::new();
     for retained in recording.retained() {
         let probe = retained.probe;
-        let Some(trace) = recording.trace(probe) else {
+        let Ok(trace) = decode_trace(&retained.bytes) else {
             continue;
         };
         events.extend(chrome_trace_events(&trace, probe.domain_id, probe.hop));
-        for anomaly in recording.anomalies().iter().filter(|a| a.probe == probe) {
+        let start = anomalies.partition_point(|a| a.probe < probe);
+        let end = start + anomalies[start..].partition_point(|a| a.probe == probe);
+        for anomaly in &anomalies[start..end] {
             events.push(
                 ChromeEvent::instant(
                     anomaly.kind.name(),

@@ -36,6 +36,9 @@ cargo bench -p quicspin-bench --bench micro -- --test observer
 # One full simulated QUIC exchange through the allocation-free packet
 # path (borrowed frame decode, range-based STREAM sends).
 cargo bench -p quicspin-bench --bench micro -- --test connection
+# Write and read back observer.json and trace.json of a seeded campaign
+# through the streaming JSON writer and parser.
+cargo bench -p quicspin-bench --bench micro -- --test artifacts
 
 # spinctl smoke: tiny flight-recorded campaign (tap on by default), then
 # read every artifact back through the CLI (summary, anomaly listing,
@@ -81,6 +84,33 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
   profile "$SPINCTL_DIR/p" --top 8
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   profile --diff "$SPINCTL_DIR/p" "$SPINCTL_DIR/p"
+
+# Corrupted-artifact smoke: each JSON artifact a subcommand reads, cut to
+# half its length, must fail that subcommand with exit 1 and a one-line
+# diagnostic (the JSON parser's error path, never a panic).
+truncated_artifact_fails() {
+  local file=$1
+  shift
+  local dir="$SPINCTL_DIR/cut-$file"
+  rm -rf "$dir"
+  cp -r "$SPINCTL_DIR/p" "$dir"
+  head -c $(($(wc -c < "$dir/$file") / 2)) "$dir/$file" > "$dir/$file.cut"
+  mv "$dir/$file.cut" "$dir/$file"
+  local status=0
+  cargo run --release -q -p quicspin-spinctl --bin spinctl -- "$@" "$dir" \
+    > /dev/null 2> "$dir/stderr" || status=$?
+  if [ "$status" != 1 ] || [ "$(wc -l < "$dir/stderr")" != 1 ]; then
+    echo "ERROR: spinctl $* on a truncated $file exited $status with:" >&2
+    cat "$dir/stderr" >&2
+    exit 1
+  fi
+  echo "truncated $file: $(cat "$dir/stderr")"
+}
+truncated_artifact_fails anomalies.json anomalies --dir
+truncated_artifact_fails observer.json observe --dir
+truncated_artifact_fails metrics.json summary --dir
+truncated_artifact_fails profile.json profile
+truncated_artifact_fails timeseries.json trend
 
 # Matrix smoke: the committed loss×vantage scenario (a 2×2 grid) runs
 # twice, at --threads 1 and --threads 4; report.md and report.json must
