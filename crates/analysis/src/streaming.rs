@@ -6,17 +6,15 @@
 //! (every established record carries an observer report, and optionally a
 //! qlog trace). For campaigns that only feed Table-1/4-style overviews
 //! and the domain-class taxonomy, [`CampaignAggregates`] folds each
-//! domain's records into counters the moment they exist — the engine's
-//! [`run_campaign_fold`](quicspin_scanner::Scanner::run_campaign_fold)
-//! drives it, so memory stays proportional to the number of distinct
+//! columnar batch the campaign engine
+//! ([`sweep`](quicspin_scanner::Scanner::sweep)) hands over, in batch
+//! order, so memory stays proportional to the number of distinct
 //! (list, host) pairs instead of the number of records.
 
 use crate::dataset::DomainClass;
 use crate::overview::{OverviewRow, OverviewTable};
 use quicspin_core::FlowClassification;
-use quicspin_scanner::{
-    CampaignConfig, ConnectionRecord, RecordBatch, RecordRow, ScanOutcome, Scanner,
-};
+use quicspin_scanner::{CampaignConfig, RecordBatch, RecordRow, ScanOutcome, Scanner};
 use quicspin_webpop::{HostAddr, ListKind};
 use std::collections::BTreeMap;
 
@@ -33,9 +31,8 @@ struct ListCounts {
 ///
 /// Produces exactly the numbers of
 /// [`OverviewTable::from_campaign`](crate::overview::OverviewTable::from_campaign)
-/// plus domain-class counts, but from a streaming fold. Batch-merge order
-/// is handled by the campaign engine; `merge` itself is commutative over
-/// disjoint domain sets, so results match the batch pipeline exactly.
+/// plus domain-class counts, but from a streaming fold over the engine's
+/// in-order batches, so results match the batch pipeline exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignAggregates {
     /// Scanned domains.
@@ -55,23 +52,14 @@ pub struct CampaignAggregates {
 }
 
 impl CampaignAggregates {
-    /// Folds one domain's records (all redirect hops) into the aggregates.
-    pub fn fold_domain(&mut self, records: &[ConnectionRecord]) {
-        self.fold_rows(records.iter().map(RecordRow::of));
-    }
-
-    /// Folds every domain group of a columnar batch, in order — the
-    /// streamed campaign path's entry point. Produces exactly the same
-    /// aggregates as [`fold_domain`](CampaignAggregates::fold_domain)
-    /// over the equivalent record slices.
+    /// Folds every domain group of a columnar batch, in order.
     pub fn fold_batch(&mut self, batch: &RecordBatch) {
         for group in batch.groups() {
             self.fold_rows(group);
         }
     }
 
-    /// The row-based fold core shared by the record-slice and columnar
-    /// paths: a single pass over one domain's rows (all redirect hops).
+    /// Folds one domain's rows (all redirect hops) in a single pass.
     pub fn fold_rows(&mut self, rows: impl Iterator<Item = RecordRow>) {
         let mut first: Option<(ListKind, ScanOutcome)> = None;
         let mut count = 0u64;
@@ -150,28 +138,6 @@ impl CampaignAggregates {
         }
     }
 
-    /// Merges another aggregate (over a disjoint domain set) into this one.
-    pub fn merge(&mut self, other: CampaignAggregates) {
-        self.domains += other.domains;
-        self.records += other.records;
-        self.established += other.established;
-        self.probes_errored += other.probes_errored;
-        for (class, n) in other.class_counts {
-            *self.class_counts.entry(class).or_default() += n;
-        }
-        for (list, counts) in other.lists {
-            let mine = self.lists.entry(list).or_default();
-            mine.total += counts.total;
-            mine.resolved += counts.resolved;
-            mine.quic += counts.quic;
-            mine.spin += counts.spin;
-        }
-        for (key, spin) in other.hosts {
-            let entry = self.hosts.entry(key).or_insert(false);
-            *entry |= spin;
-        }
-    }
-
     /// The overview row for a list selection (same semantics as
     /// [`OverviewTable`]'s rows: hosts serving domains in several matching
     /// lists count once).
@@ -212,33 +178,19 @@ impl CampaignAggregates {
     }
 }
 
-/// Sweeps `ids` with the campaign engine, folding straight into
-/// [`CampaignAggregates`]: no record vector is ever materialized.
+/// Sweeps `ids` with the campaign engine, folding each columnar batch
+/// straight into [`CampaignAggregates`] under a resident-byte budget
+/// (`0` = unbounded): no record vector is ever materialized.
 pub fn aggregate_campaign(
-    scanner: &Scanner,
-    config: &CampaignConfig,
-    ids: std::ops::Range<u32>,
-) -> CampaignAggregates {
-    scanner.run_campaign_fold(
-        config,
-        ids,
-        CampaignAggregates::default,
-        |acc, records| acc.fold_domain(records),
-        CampaignAggregates::merge,
-    )
-}
-
-/// [`aggregate_campaign`] over the streamed, bounded-memory campaign
-/// path: columnar batches fold straight into the aggregates under a
-/// resident-byte budget (`0` = unbounded). Same result, flat memory.
-pub fn aggregate_campaign_streamed(
     scanner: &Scanner,
     config: &CampaignConfig,
     ids: std::ops::Range<u32>,
     budget_bytes: usize,
 ) -> CampaignAggregates {
     let mut agg = CampaignAggregates::default();
-    scanner.run_campaign_streamed_over(config, ids, budget_bytes, |batch| agg.fold_batch(batch));
+    scanner.sweep(config, ids, budget_bytes, |batch: &mut RecordBatch| {
+        agg.fold_batch(batch)
+    });
     agg
 }
 
@@ -268,26 +220,29 @@ mod tests {
     fn streaming_matches_batch_overview() {
         let pop = pop();
         let scanner = Scanner::new(&pop);
-        let cfg = config(2);
-        let campaign = scanner.run_campaign(&cfg);
-        let batch = OverviewTable::from_campaign(&campaign);
-        let streamed = aggregate_campaign(&scanner, &cfg, 0..pop.len() as u32);
-        assert_eq!(streamed.overview_table(), batch);
-        assert_eq!(streamed.domains, pop.len() as u64);
-        assert_eq!(streamed.records, campaign.len() as u64);
-        assert_eq!(streamed.established, campaign.established().count() as u64);
-        let errored = campaign
-            .records
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.outcome,
-                    quicspin_scanner::ScanOutcome::HandshakeFailed
-                        | quicspin_scanner::ScanOutcome::Unreachable
-                )
-            })
-            .count() as u64;
-        assert_eq!(streamed.probes_errored, errored);
+        // Unbounded, and at 4 threads under a 16 KiB resident budget.
+        for (threads, budget_bytes) in [(2, 0), (4, 16 * 1024)] {
+            let cfg = config(threads);
+            let campaign = scanner.run_campaign(&cfg);
+            let batch = OverviewTable::from_campaign(&campaign);
+            let streamed = aggregate_campaign(&scanner, &cfg, 0..pop.len() as u32, budget_bytes);
+            assert_eq!(streamed.overview_table(), batch);
+            assert_eq!(streamed.domains, pop.len() as u64);
+            assert_eq!(streamed.records, campaign.len() as u64);
+            assert_eq!(streamed.established, campaign.established().count() as u64);
+            let errored = campaign
+                .records
+                .iter()
+                .filter(|r| {
+                    matches!(
+                        r.outcome,
+                        quicspin_scanner::ScanOutcome::HandshakeFailed
+                            | quicspin_scanner::ScanOutcome::Unreachable
+                    )
+                })
+                .count() as u64;
+            assert_eq!(streamed.probes_errored, errored);
+        }
     }
 
     #[test]
@@ -302,7 +257,7 @@ mod tests {
             },
             ..CampaignConfig::default()
         };
-        let agg = aggregate_campaign(&scanner, &cfg, 0..pop.len() as u32);
+        let agg = aggregate_campaign(&scanner, &cfg, 0..pop.len() as u32, 0);
         assert!(
             agg.probes_errored > 0,
             "heavy loss must surface as counted probe errors"
@@ -314,27 +269,16 @@ mod tests {
         let pop = pop();
         let scanner = Scanner::new(&pop);
         let ids = 0..pop.len() as u32;
-        let one = aggregate_campaign(&scanner, &config(1), ids.clone());
-        let eight = aggregate_campaign(&scanner, &config(8), ids);
+        let one = aggregate_campaign(&scanner, &config(1), ids.clone(), 0);
+        let eight = aggregate_campaign(&scanner, &config(8), ids, 0);
         assert_eq!(one, eight);
-    }
-
-    #[test]
-    fn columnar_stream_matches_record_fold() {
-        let pop = pop();
-        let scanner = Scanner::new(&pop);
-        let cfg = config(4);
-        let ids = 0..pop.len() as u32;
-        let record_fold = aggregate_campaign(&scanner, &cfg, ids.clone());
-        let streamed = aggregate_campaign_streamed(&scanner, &cfg, ids, 16 * 1024);
-        assert_eq!(record_fold, streamed);
     }
 
     #[test]
     fn class_counts_cover_every_domain() {
         let pop = pop();
         let scanner = Scanner::new(&pop);
-        let agg = aggregate_campaign(&scanner, &config(4), 0..pop.len() as u32);
+        let agg = aggregate_campaign(&scanner, &config(4), 0..pop.len() as u32, 0);
         let classified: u64 = agg.class_counts.values().sum();
         assert_eq!(classified, agg.domains);
     }

@@ -249,11 +249,17 @@ impl VantageFigure {
                     loss,
                     ..base.conditions
                 };
-                let campaign = scanner.run_campaign_over(&config, ids.clone());
                 let mut cell = VantageCell::new(vantage, loss, config.conditions.reorder);
-                for record in campaign.records.iter().filter(|r| filter(r)) {
-                    cell.note_record(record);
-                }
+                scanner.sweep(
+                    &config,
+                    ids.clone(),
+                    0,
+                    |batch: &mut Vec<ConnectionRecord>| {
+                        for record in batch.iter().filter(|r| filter(r)) {
+                            cell.note_record(record);
+                        }
+                    },
+                );
                 cells.push(cell);
             }
         }
@@ -330,6 +336,7 @@ impl VantageFigure {
 mod tests {
     use super::*;
     use quicspin_webpop::PopulationConfig;
+    use std::ops::Range;
 
     fn small_pop() -> Population {
         Population::generate(PopulationConfig {
@@ -344,6 +351,18 @@ mod tests {
             conditions: NetworkConditions::clean(),
             threads: 2,
             ..CampaignConfig::default()
+        }
+    }
+
+    fn campaign_over(pop: &Population, config: &CampaignConfig, ids: Range<u32>) -> Campaign {
+        let mut records = Vec::new();
+        Scanner::new(pop).sweep(config, ids, 0, |batch: &mut Vec<ConnectionRecord>| {
+            records.append(batch)
+        });
+        Campaign {
+            week: config.week,
+            version: config.version,
+            records,
         }
     }
 
@@ -427,7 +446,7 @@ mod tests {
         let pop = small_pop();
         let mut config = base_config();
         config.tap = Some(0.5);
-        let campaign = Scanner::new(&pop).run_campaign_over(&config, 0..120);
+        let campaign = campaign_over(&pop, &config, 0..120);
 
         let mut whole = VantageCell::new(0.5, 0.0, 0.0);
         for r in &campaign.records {
@@ -460,7 +479,7 @@ mod tests {
     fn untapped_campaign_contributes_nothing() {
         let pop = small_pop();
         let config = base_config();
-        let campaign = Scanner::new(&pop).run_campaign_over(&config, 0..40);
+        let campaign = campaign_over(&pop, &config, 0..40);
         let mut figure = VantageFigure::default();
         figure.note_campaign(&campaign, &config);
         assert!(figure.cells.is_empty());

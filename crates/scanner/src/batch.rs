@@ -13,14 +13,56 @@
 //!
 //! Rows are appended per domain ([`RecordBatch::push_group`]) and read
 //! back per domain ([`RecordBatch::groups`]): the group structure mirrors
-//! the `fold(acc, domain_records)` contract of the campaign engine, where
-//! each domain's records (all redirect hops) arrive as one contiguous
-//! run.
+//! how the campaign engine builds a batch, one domain's records (all
+//! redirect hops) at a time, in id order. [`CampaignBatch`] is that
+//! contract; the engine ([`crate::Scanner::sweep`]) is generic over it,
+//! so the materializing path (`Vec<ConnectionRecord>`) and the columnar
+//! path share one worker loop.
 
 use crate::observe::ObserverView;
 use crate::record::{ConnectionRecord, ScanOutcome};
 use quicspin_core::FlowClassification;
 use quicspin_webpop::{HostAddr, ListKind, Org, WebServer};
+
+/// A batch format the campaign engine can build: one scheduler batch of
+/// domains, appended one domain at a time in id order.
+pub trait CampaignBatch: Default + Send {
+    /// Appends one domain's records (all its redirect hops). May drain
+    /// `records`; the engine clears it before the next domain either way.
+    fn push_domain(&mut self, records: &mut Vec<ConnectionRecord>);
+    /// Resident bytes, as the engine's record budget accounts them.
+    fn resident_bytes(&self) -> usize;
+    /// Drops every row, keeping the allocations for the next batch.
+    fn clear(&mut self);
+}
+
+impl CampaignBatch for Vec<ConnectionRecord> {
+    fn push_domain(&mut self, records: &mut Vec<ConnectionRecord>) {
+        self.append(records);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<ConnectionRecord>()
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+}
+
+impl CampaignBatch for RecordBatch {
+    fn push_domain(&mut self, records: &mut Vec<ConnectionRecord>) {
+        self.push_group(records);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.approx_bytes()
+    }
+
+    fn clear(&mut self) {
+        RecordBatch::clear(self);
+    }
+}
 
 /// One record's aggregation-relevant fields, copied out of a column set
 /// (or a [`ConnectionRecord`]). Plain `Copy` data — cheap to hand around
@@ -95,11 +137,6 @@ pub struct RecordBatch {
 }
 
 impl RecordBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        RecordBatch::default()
-    }
-
     /// Appends one domain's records (all its redirect hops) as the next
     /// group. Empty groups are ignored — the scanner always produces at
     /// least one record per domain.
@@ -231,7 +268,7 @@ mod tests {
 
     #[test]
     fn groups_round_trip_rows() {
-        let mut batch = RecordBatch::new();
+        let mut batch = RecordBatch::default();
         let a = vec![failed(3, ScanOutcome::NotResolved)];
         let b = vec![
             failed(4, ScanOutcome::Unreachable),
@@ -252,7 +289,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity_and_resets_groups() {
-        let mut batch = RecordBatch::new();
+        let mut batch = RecordBatch::default();
         batch.push_group(&[failed(1, ScanOutcome::NoQuic)]);
         let bytes = batch.approx_bytes();
         assert!(bytes > 0);

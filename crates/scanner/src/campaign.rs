@@ -4,23 +4,25 @@
 //! Workers claim fixed-size batches of domain ids from a shared atomic
 //! cursor, so a cluster of expensive targets (e.g. the QUIC-dense toplist
 //! prefix) spreads over all threads instead of serialising one static
-//! shard. Per-batch results are merged in batch-index order, which makes
-//! the output bit-identical for any thread count.
+//! shard. Finished batches reach the caller in batch-index order, which
+//! makes the output bit-identical for any thread count. One engine,
+//! [`Scanner::sweep`], serves every campaign entry point.
 
-use crate::batch::RecordBatch;
+use crate::batch::{CampaignBatch, RecordBatch};
 use crate::flight::{FlightConfig, FlightRecording, FlightShard};
 use crate::probe::{probe_connection_scratch, NetworkConditions, ProbeScratch};
 use crate::record::{ConnectionRecord, ScanOutcome};
 use quicspin_core::{GreaseFilter, ObserverConfig};
 use quicspin_h3::MAX_REDIRECTS;
 use quicspin_telemetry::{
-    ConfigEntry, GaugeId, Metric, ProfilerRegistry, ProgressSnapshot, Registry, RunManifest,
-    ScopeId, Stage, TimePoint, TimeSeries, DEFAULT_TIMESERIES_CAPACITY,
+    ConfigEntry, GaugeId, Metric, ProfilerRegistry, ProfilerShard, ProgressSnapshot, Registry,
+    RunManifest, ScopeId, Stage, TimePoint, TimeSeries, DEFAULT_TIMESERIES_CAPACITY,
 };
 use quicspin_webpop::{IpVersion, Population};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of domain ids a worker claims per cursor fetch. Small enough to
@@ -49,8 +51,7 @@ pub struct CampaignConfig {
     pub keep_qlogs: bool,
     /// Campaign telemetry registry. Defaults to a disabled (no-op)
     /// registry, so un-instrumented campaigns pay only a branch; pass an
-    /// enabled one (or use
-    /// [`run_campaign_with_progress`](Scanner::run_campaign_with_progress))
+    /// enabled one (or run under [`with_progress`](Scanner::with_progress))
     /// to collect metrics. Telemetry never changes the records produced.
     pub telemetry: Arc<Registry>,
     /// Hierarchical cost profiler. Defaults to a disabled (no-op)
@@ -60,9 +61,10 @@ pub struct CampaignConfig {
     /// profiler never changes the records produced, and its
     /// deterministic counts are identical for any thread count.
     pub profiler: Arc<ProfilerRegistry>,
-    /// Flight-recorder configuration. Disabled by default; the
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight) family
-    /// force-enables it. Detection never changes the records produced.
+    /// Flight-recorder configuration. Disabled by default; when enabled,
+    /// [`sweep`](Scanner::sweep) returns the recording, and the
+    /// `run_campaign*flight` entry points force-enable it. Detection
+    /// never changes the records produced.
     pub flight: FlightConfig,
     /// Position of the passive on-path observer tap, as a fraction of the
     /// client→server path (0.0 = client-side, 1.0 = server-side). `None`
@@ -322,395 +324,9 @@ impl<'p> Scanner<'p> {
         }
     }
 
-    /// Runs a full sweep over every domain.
+    /// Runs a full sweep over every domain and returns every record.
     pub fn run_campaign(&self, config: &CampaignConfig) -> Campaign {
-        let n = self.population.len() as u32;
-        self.run_campaign_over(config, 0..n)
-    }
-
-    /// Runs a sweep over a subrange of domain ids (sharding building
-    /// block; also used to scan only QUIC candidates in longitudinal
-    /// mode).
-    pub fn run_campaign_over(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-    ) -> Campaign {
-        let records = self.run_campaign_fold(
-            config,
-            ids,
-            Vec::new,
-            |acc: &mut Vec<ConnectionRecord>, domain: &mut Vec<ConnectionRecord>| {
-                acc.append(domain);
-            },
-            |acc, mut batch| acc.append(&mut batch),
-        );
-        Campaign {
-            week: config.week,
-            version: config.version,
-            records,
-        }
-    }
-
-    /// The campaign engine's generic core: sweeps `ids`, folding each
-    /// domain's records into an accumulator instead of retaining them.
-    ///
-    /// Domain ids are claimed in fixed-size batches from a shared atomic
-    /// cursor by `config.threads` workers (work stealing, so expensive
-    /// targets cannot pile up on one static shard). Each batch folds into
-    /// its own accumulator — `fold` is called once per domain, in id
-    /// order within the batch, with that domain's records (the callee may
-    /// drain the `Vec`; it is cleared before reuse either way) — and the
-    /// batch accumulators are `merge`d into `init()` in batch-index
-    /// order. The accumulation tree therefore depends only on `ids`,
-    /// never on the thread count or claim timing: results are
-    /// bit-identical for any `config.threads`, including float folds.
-    pub fn run_campaign_fold<A, I, F, M>(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> A
-    where
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut Vec<ConnectionRecord>) + Sync,
-        M: Fn(&mut A, A),
-    {
-        self.run_campaign_fold_flight(config, ids, init, fold, merge)
-            .0
-    }
-
-    /// [`run_campaign_fold`](Scanner::run_campaign_fold), additionally
-    /// returning the merged (not yet finalized) flight-recorder shard.
-    /// With `config.flight` disabled the shard is empty.
-    fn run_campaign_fold_flight<A, I, F, M>(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> (A, FlightShard)
-    where
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut Vec<ConnectionRecord>) + Sync,
-        M: Fn(&mut A, A),
-    {
-        let threads = config.threads.max(1);
-        let batches = (ids.end.saturating_sub(ids.start)).div_ceil(BATCH_SIZE);
-        note_tap_vantage(config);
-        let cursor = AtomicU32::new(0);
-        // One worker loop, shared by the sequential and threaded paths so
-        // both build the exact same per-batch accumulation tree. Each
-        // worker hands back its flight shard; shard merge order does not
-        // matter because finalization canonicalizes the contents.
-        let worker = |out: &mut Vec<(u32, A)>| -> FlightShard {
-            let reg = &*config.telemetry;
-            let mut scratch = ProbeScratch::default();
-            scratch.telemetry.set_enabled(reg.is_enabled());
-            scratch.profiler.set_enabled(config.profiler.is_enabled());
-            let mut domain_records: Vec<ConnectionRecord> = Vec::new();
-            let mut warm = false;
-            loop {
-                let batch = cursor.fetch_add(1, Ordering::Relaxed);
-                if batch >= batches {
-                    break;
-                }
-                reg.incr(Metric::BatchesClaimed);
-                let lo = ids.start + batch * BATCH_SIZE;
-                let hi = lo.saturating_add(BATCH_SIZE).min(ids.end);
-                let mut acc = init();
-                for id in lo..hi {
-                    domain_records.clear();
-                    // Coarse per-domain counters go straight to the shared
-                    // registry so a monitor thread sees live progress;
-                    // per-packet stats batch through the worker shard.
-                    reg.incr(Metric::ProbesStarted);
-                    if warm {
-                        scratch.telemetry.incr(Metric::ScratchReuseHits);
-                    } else {
-                        warm = true;
-                    }
-                    let t = scratch.telemetry.timer();
-                    self.scan_domain_into(id, config, &mut scratch, &mut domain_records);
-                    scratch.telemetry.record_since(Stage::Probe, t);
-                    note_domain_records(reg, &domain_records);
-                    let p = scratch.profiler.begin();
-                    fold(&mut acc, &mut domain_records);
-                    scratch.profiler.end(ScopeId::RecordIntern, p);
-                }
-                out.push((batch, acc));
-            }
-            config.profiler.absorb(&scratch.profiler);
-            reg.absorb(&scratch.telemetry);
-            reg.incr(Metric::WorkersFinished);
-            std::mem::take(&mut scratch.flight)
-        };
-
-        let (mut tagged, flight): (Vec<(u32, A)>, FlightShard) = if threads == 1 || batches <= 1 {
-            let mut out = Vec::new();
-            let shard = worker(&mut out);
-            (out, shard)
-        } else {
-            let workers = threads.min(batches as usize);
-            let mut parts: Vec<Vec<(u32, A)>> = Vec::new();
-            let mut flight = FlightShard::default();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            let shard = worker(&mut out);
-                            (out, shard)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let (out, shard) = handle.join().expect("scan worker panicked");
-                    parts.push(out);
-                    flight.merge(shard);
-                }
-            });
-            (parts.into_iter().flatten().collect(), flight)
-        };
-
-        tagged.sort_by_key(|&(batch, _)| batch);
-        let mut acc = init();
-        for (_, batch_acc) in tagged {
-            merge(&mut acc, batch_acc);
-        }
-        (acc, flight)
-    }
-
-    /// Runs a full sweep in streamed, bounded-memory mode: every finished
-    /// scheduler batch reaches `sink` as a columnar [`RecordBatch`], in
-    /// strict batch-index order, and is dropped right after — the full
-    /// record vector never exists. Aggregates, time series and flight
-    /// artifacts folded from the stream are byte-identical to the
-    /// materializing path for any worker-thread count, because the sink
-    /// sees exactly the per-batch merge sequence `run_campaign` uses.
-    ///
-    /// `budget_bytes` is the high-water byte budget for resident columnar
-    /// records (finished batches awaiting the in-order merge plus the one
-    /// being folded); `0` means unbounded. Workers stop claiming new
-    /// batches while the budget is exhausted, so the overshoot is bounded
-    /// by one in-flight batch per worker. Peak residency is reported on
-    /// the [`GaugeId::PeakRecordBytes`] gauge, the merge-queue depth on
-    /// [`GaugeId::EventQueueDepth`], and the configured budget on
-    /// [`GaugeId::RecordBudgetBytes`].
-    pub fn run_campaign_streamed<S>(&self, config: &CampaignConfig, budget_bytes: usize, sink: S)
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let n = self.population.len() as u32;
-        self.run_campaign_streamed_over(config, 0..n, budget_bytes, sink);
-    }
-
-    /// [`run_campaign_streamed`](Scanner::run_campaign_streamed) with the
-    /// flight recorder armed; returns the finalized recording (records
-    /// streamed to `sink` match a non-flight run exactly, as in
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight)).
-    pub fn run_campaign_streamed_flight<S>(
-        &self,
-        config: &CampaignConfig,
-        budget_bytes: usize,
-        sink: S,
-    ) -> FlightRecording
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let mut config = config.clone();
-        config.flight.enabled = true;
-        let n = self.population.len() as u32;
-        let shard = self.run_campaign_streamed_over(&config, 0..n, budget_bytes, sink);
-        self.finalize_flight(&config, shard)
-    }
-
-    /// The streamed engine's core: sweeps `ids` and hands each finished
-    /// batch to `sink` in batch-index order, returning the merged (not
-    /// yet finalized) flight shard. See
-    /// [`run_campaign_streamed`](Scanner::run_campaign_streamed).
-    pub fn run_campaign_streamed_over<S>(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-        budget_bytes: usize,
-        mut sink: S,
-    ) -> FlightShard
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let threads = config.threads.max(1);
-        let batches = (ids.end.saturating_sub(ids.start)).div_ceil(BATCH_SIZE);
-        let reg = &*config.telemetry;
-        if reg.is_enabled() {
-            reg.gauge_set(GaugeId::RecordBudgetBytes, budget_bytes as u64);
-        }
-        note_tap_vantage(config);
-        let cursor = AtomicU32::new(0);
-
-        // Scans one claimed batch into `out`. Mirrors the fold engine's
-        // inner loop exactly (same counters, same stage spans), so the
-        // streamed and materializing paths produce identical manifests up
-        // to machine-shape gauges.
-        let produce = |batch: u32,
-                       scratch: &mut ProbeScratch,
-                       warm: &mut bool,
-                       domain_records: &mut Vec<ConnectionRecord>,
-                       out: &mut RecordBatch| {
-            let reg = &*config.telemetry;
-            reg.incr(Metric::BatchesClaimed);
-            let lo = ids.start + batch * BATCH_SIZE;
-            let hi = lo.saturating_add(BATCH_SIZE).min(ids.end);
-            for id in lo..hi {
-                domain_records.clear();
-                reg.incr(Metric::ProbesStarted);
-                if *warm {
-                    scratch.telemetry.incr(Metric::ScratchReuseHits);
-                } else {
-                    *warm = true;
-                }
-                let t = scratch.telemetry.timer();
-                self.scan_domain_into(id, config, scratch, domain_records);
-                scratch.telemetry.record_since(Stage::Probe, t);
-                note_domain_records(reg, domain_records);
-                let p = scratch.profiler.begin();
-                out.push_group(domain_records);
-                scratch.profiler.end(ScopeId::RecordIntern, p);
-            }
-        };
-
-        if threads == 1 || batches <= 1 {
-            // Sequential: produce and fold each batch in place, reusing
-            // one columnar scratch batch across the whole sweep.
-            let mut scratch = ProbeScratch::default();
-            scratch.telemetry.set_enabled(reg.is_enabled());
-            scratch.profiler.set_enabled(config.profiler.is_enabled());
-            let mut warm = false;
-            let mut domain_records: Vec<ConnectionRecord> = Vec::new();
-            let mut out = RecordBatch::new();
-            loop {
-                let batch = cursor.fetch_add(1, Ordering::Relaxed);
-                if batch >= batches {
-                    break;
-                }
-                out.clear();
-                produce(
-                    batch,
-                    &mut scratch,
-                    &mut warm,
-                    &mut domain_records,
-                    &mut out,
-                );
-                if reg.is_enabled() {
-                    reg.gauge_max(GaugeId::PeakRecordBytes, out.approx_bytes() as u64);
-                    reg.gauge_max(GaugeId::EventQueueDepth, 1);
-                }
-                sink(&out);
-            }
-            config.profiler.absorb(&scratch.profiler);
-            reg.absorb(&scratch.telemetry);
-            reg.incr(Metric::WorkersFinished);
-            return std::mem::take(&mut scratch.flight);
-        }
-
-        // Threaded: workers publish finished batches into a shared
-        // in-order merge queue; the calling thread is the consumer,
-        // draining strictly by batch index. A batch stays accounted
-        // against the budget until the sink has folded it. Workers block
-        // only *before claiming new work*, never between claim and
-        // publish — the batch the consumer waits for next is therefore
-        // always either unclaimed (in which case nothing is resident and
-        // the gate is open) or already on its way, so the budget cannot
-        // deadlock the pipeline.
-        struct StreamShared {
-            pending: BTreeMap<u32, (RecordBatch, usize)>,
-            resident: usize,
-        }
-        let shared = Mutex::new(StreamShared {
-            pending: BTreeMap::new(),
-            resident: 0,
-        });
-        let ready = Condvar::new();
-        let space = Condvar::new();
-
-        let worker = || -> FlightShard {
-            let reg = &*config.telemetry;
-            let mut scratch = ProbeScratch::default();
-            scratch.telemetry.set_enabled(reg.is_enabled());
-            scratch.profiler.set_enabled(config.profiler.is_enabled());
-            let mut warm = false;
-            let mut domain_records: Vec<ConnectionRecord> = Vec::new();
-            loop {
-                if budget_bytes > 0 {
-                    let mut s = shared.lock().unwrap();
-                    while s.resident >= budget_bytes {
-                        s = space.wait(s).unwrap();
-                    }
-                }
-                let batch = cursor.fetch_add(1, Ordering::Relaxed);
-                if batch >= batches {
-                    break;
-                }
-                let mut out = RecordBatch::new();
-                produce(
-                    batch,
-                    &mut scratch,
-                    &mut warm,
-                    &mut domain_records,
-                    &mut out,
-                );
-                let bytes = out.approx_bytes();
-                // Mailbox publish cost (lock + in-order queue handoff) is
-                // threaded-streamed-only machinery: the scope is marked
-                // non-deterministic and never reaches `profile.json`.
-                let p = scratch.profiler.begin();
-                let mut s = shared.lock().unwrap();
-                s.resident += bytes;
-                s.pending.insert(batch, (out, bytes));
-                if reg.is_enabled() {
-                    reg.gauge_max(GaugeId::PeakRecordBytes, s.resident as u64);
-                    reg.gauge_max(GaugeId::EventQueueDepth, s.pending.len() as u64);
-                }
-                drop(s);
-                ready.notify_one();
-                scratch.profiler.end(ScopeId::BatchMailbox, p);
-            }
-            config.profiler.absorb(&scratch.profiler);
-            reg.absorb(&scratch.telemetry);
-            reg.incr(Metric::WorkersFinished);
-            std::mem::take(&mut scratch.flight)
-        };
-
-        let workers = threads.min(batches as usize);
-        let mut flight = FlightShard::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            for next in 0..batches {
-                let (batch, bytes) = {
-                    let mut s = shared.lock().unwrap();
-                    loop {
-                        if let Some(entry) = s.pending.remove(&next) {
-                            break entry;
-                        }
-                        s = ready.wait(s).unwrap();
-                    }
-                };
-                sink(&batch);
-                let mut s = shared.lock().unwrap();
-                s.resident -= bytes;
-                drop(s);
-                space.notify_all();
-            }
-            for handle in handles {
-                flight.merge(handle.join().expect("stream worker panicked"));
-            }
-        });
-        flight
+        self.collect(config).0
     }
 
     /// Runs a full sweep with the flight recorder armed: every probe is
@@ -722,37 +338,212 @@ impl<'p> Scanner<'p> {
     ///
     /// [`run_campaign`]: Scanner::run_campaign
     pub fn run_campaign_flight(&self, config: &CampaignConfig) -> (Campaign, FlightRecording) {
-        let n = self.population.len() as u32;
-        self.run_campaign_flight_over(config, 0..n)
-    }
-
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight) over a
-    /// subrange of domain ids.
-    pub fn run_campaign_flight_over(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-    ) -> (Campaign, FlightRecording) {
         let mut config = config.clone();
         config.flight.enabled = true;
-        let (records, shard) = self.run_campaign_fold_flight(
-            &config,
-            ids,
-            Vec::new,
-            |acc: &mut Vec<ConnectionRecord>, domain: &mut Vec<ConnectionRecord>| {
-                acc.append(domain);
-            },
-            |acc, mut batch| acc.append(&mut batch),
-        );
-        let recording = self.finalize_flight(&config, shard);
-        (
-            Campaign {
-                week: config.week,
-                version: config.version,
-                records,
-            },
-            recording,
-        )
+        let (campaign, recording) = self.collect(&config);
+        (campaign, recording.expect("flight recorder armed"))
+    }
+
+    /// Runs a full sweep with the flight recorder armed, handing every
+    /// finished batch to `sink` as a columnar [`RecordBatch`] — the
+    /// bounded-memory form of
+    /// [`run_campaign_flight`](Scanner::run_campaign_flight): the record
+    /// vector never exists. `budget_bytes` caps resident record bytes as
+    /// in [`sweep`](Scanner::sweep) (`0` = unbounded).
+    pub fn run_campaign_streamed_flight<S>(
+        &self,
+        config: &CampaignConfig,
+        budget_bytes: usize,
+        mut sink: S,
+    ) -> FlightRecording
+    where
+        S: FnMut(&RecordBatch),
+    {
+        let mut config = config.clone();
+        config.flight.enabled = true;
+        let ids = 0..self.population.len() as u32;
+        self.sweep(&config, ids, budget_bytes, |batch: &mut RecordBatch| {
+            sink(batch)
+        })
+        .expect("flight recorder armed")
+    }
+
+    /// Sweeps every domain into one record vector.
+    fn collect(&self, config: &CampaignConfig) -> (Campaign, Option<FlightRecording>) {
+        let mut records = Vec::new();
+        let ids = 0..self.population.len() as u32;
+        let recording = self.sweep(config, ids, 0, |batch: &mut Vec<ConnectionRecord>| {
+            records.append(batch)
+        });
+        let campaign = Campaign {
+            week: config.week,
+            version: config.version,
+            records,
+        };
+        (campaign, recording)
+    }
+
+    /// The campaign engine: sweeps `ids` and hands every finished
+    /// scheduler batch to `sink` on the calling thread, in batch-index
+    /// order.
+    ///
+    /// Domain ids are claimed in fixed-size batches from a shared atomic
+    /// cursor by `config.threads` workers (work stealing, so expensive
+    /// targets cannot pile up on one static shard). A worker scans its
+    /// batch's domains in id order into a `B` — a record vector or a
+    /// columnar [`RecordBatch`], see [`CampaignBatch`] — and publishes
+    /// it. The sink therefore sees the same batch sequence for any
+    /// thread count or claim timing, and everything folded from it is
+    /// bit-identical across `config.threads`, float folds included. The
+    /// sink may drain the batch.
+    ///
+    /// `budget_bytes` is the high-water byte budget for resident batches
+    /// (finished batches awaiting their turn plus the one being folded);
+    /// `0` means unbounded. Workers stop claiming new batches while the
+    /// budget is exhausted, so the overshoot is bounded by one in-flight
+    /// batch per worker. Peak residency is reported on the
+    /// [`GaugeId::PeakRecordBytes`] gauge, the mailbox depth on
+    /// [`GaugeId::EventQueueDepth`], and the configured budget on
+    /// [`GaugeId::RecordBudgetBytes`].
+    ///
+    /// Returns the finalized flight recording exactly when
+    /// `config.flight.enabled`. A panic in a worker or in `sink` stops
+    /// the sweep and is re-raised here.
+    pub fn sweep<B, S>(
+        &self,
+        config: &CampaignConfig,
+        ids: Range<u32>,
+        budget_bytes: usize,
+        mut sink: S,
+    ) -> Option<FlightRecording>
+    where
+        B: CampaignBatch,
+        S: FnMut(&mut B),
+    {
+        let batches = ids.end.saturating_sub(ids.start).div_ceil(BATCH_SIZE);
+        let reg = &*config.telemetry;
+        if reg.is_enabled() {
+            reg.gauge_set(GaugeId::RecordBudgetBytes, budget_bytes as u64);
+            // Untapped campaigns leave the vantage gauge at zero.
+            if let Some(tap) = config.tap {
+                let vantage = crate::observe::vantage_millionths(tap);
+                reg.gauge_set(GaugeId::ObserverVantageMillionths, vantage as u64);
+            }
+        }
+        let cursor = AtomicU32::new(0);
+        let workers = config.threads.max(1).min(batches as usize);
+        let shard = if workers <= 1 {
+            // Sequential: publish straight to the sink, reusing one batch.
+            self.sweep_worker(config, &ids, batches, &cursor, |_, batch: &mut B, _| {
+                if reg.is_enabled() {
+                    reg.gauge_max(GaugeId::PeakRecordBytes, batch.resident_bytes() as u64);
+                    reg.gauge_max(GaugeId::EventQueueDepth, 1);
+                }
+                sink(batch);
+                batch.clear();
+                true
+            })
+        } else {
+            let mailbox = Mailbox {
+                budget_bytes,
+                ..Mailbox::default()
+            };
+            let mut flight = FlightShard::default();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let _stop = StopOnUnwind(&mailbox);
+                            self.sweep_worker(config, &ids, batches, &cursor, |index, batch, p| {
+                                // Lock + in-order hand-off cost: a scope
+                                // only threaded runs have, so it is marked
+                                // non-deterministic and never reaches
+                                // `profile.json`.
+                                let t = p.begin();
+                                mailbox.publish(index, std::mem::take(batch), reg);
+                                p.end(ScopeId::BatchMailbox, t);
+                                mailbox.wait_for_space()
+                            })
+                        })
+                    })
+                    .collect();
+                let _stop = StopOnUnwind(&mailbox);
+                for next in 0..batches {
+                    let Some((mut batch, bytes)) = mailbox.take(next) else {
+                        break; // a worker panicked; its join re-raises it
+                    };
+                    sink(&mut batch);
+                    mailbox.release(bytes);
+                }
+                for handle in handles {
+                    match handle.join() {
+                        Ok(shard) => flight.merge(shard),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                }
+            });
+            flight
+        };
+        config
+            .flight
+            .enabled
+            .then(|| self.finalize_flight(config, shard))
+    }
+
+    /// The engine's one worker loop: claim a batch of ids, scan its
+    /// domains into a `B`, `publish` it; repeat until the cursor runs out
+    /// or `publish` returns `false`. Returns the worker's flight shard
+    /// (shard merge order does not matter: finalization canonicalizes).
+    fn sweep_worker<B: CampaignBatch>(
+        &self,
+        config: &CampaignConfig,
+        ids: &Range<u32>,
+        batches: u32,
+        cursor: &AtomicU32,
+        mut publish: impl FnMut(u32, &mut B, &mut ProfilerShard) -> bool,
+    ) -> FlightShard {
+        let reg = &*config.telemetry;
+        let mut scratch = ProbeScratch::default();
+        scratch.telemetry.set_enabled(reg.is_enabled());
+        scratch.profiler.set_enabled(config.profiler.is_enabled());
+        let mut domain_records: Vec<ConnectionRecord> = Vec::new();
+        let mut batch = B::default();
+        let mut warm = false;
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= batches {
+                break;
+            }
+            reg.incr(Metric::BatchesClaimed);
+            let lo = ids.start + index * BATCH_SIZE;
+            let hi = lo.saturating_add(BATCH_SIZE).min(ids.end);
+            for id in lo..hi {
+                domain_records.clear();
+                // Coarse per-domain counters go straight to the shared
+                // registry so a monitor thread sees live progress;
+                // per-packet stats batch through the worker shard.
+                reg.incr(Metric::ProbesStarted);
+                if warm {
+                    scratch.telemetry.incr(Metric::ScratchReuseHits);
+                } else {
+                    warm = true;
+                }
+                let t = scratch.telemetry.timer();
+                self.scan_domain_into(id, config, &mut scratch, &mut domain_records);
+                scratch.telemetry.record_since(Stage::Probe, t);
+                note_domain_records(reg, &domain_records);
+                let p = scratch.profiler.begin();
+                batch.push_domain(&mut domain_records);
+                scratch.profiler.end(ScopeId::RecordIntern, p);
+            }
+            if !publish(index, &mut batch, &mut scratch.profiler) {
+                break;
+            }
+        }
+        config.profiler.absorb(&scratch.profiler);
+        reg.absorb(&scratch.telemetry);
+        reg.incr(Metric::WorkersFinished);
+        std::mem::take(&mut scratch.flight)
     }
 
     /// Finalizes a merged flight shard into a recording and notes the
@@ -779,82 +570,20 @@ impl<'p> Scanner<'p> {
         recording
     }
 
-    /// Runs a full sweep with live progress reporting and a run manifest.
+    /// Runs `run` (any campaign entry point) with live progress reporting
+    /// and a run manifest.
     ///
     /// A monitor thread samples the campaign registry every
     /// `progress_every` and hands `sink` one status line per tick
     /// (`probes/sec`, ETA, error rate — see
     /// [`ProgressSnapshot::render`](quicspin_telemetry::ProgressSnapshot::render)),
     /// followed by the final human-readable summary table. If the config's
-    /// registry is disabled, an enabled one is substituted for this run so
-    /// the manifest is always populated. Returns the campaign plus the
-    /// [`RunManifest`] (write it next to the other artifacts with
+    /// registry is disabled, an enabled one is substituted for this run
+    /// (`run` receives the substituted config) so the manifest is always
+    /// populated. Returns `run`'s result plus the [`RunManifest`] (write
+    /// it next to the other artifacts with
     /// [`write_run_manifest`](crate::artifacts::write_run_manifest)).
-    pub fn run_campaign_with_progress<F>(
-        &self,
-        config: &CampaignConfig,
-        progress_every: Duration,
-        sink: F,
-    ) -> (Campaign, RunManifest)
-    where
-        F: FnMut(&str) + Send,
-    {
-        self.run_with_progress_impl(config, progress_every, sink, |scanner, cfg| {
-            scanner.run_campaign(cfg)
-        })
-    }
-
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight) with the
-    /// same live progress reporting and run manifest as
-    /// [`run_campaign_with_progress`](Scanner::run_campaign_with_progress).
-    /// Write the recording next to `metrics.json` with
-    /// [`write_flight_recording`](crate::artifacts::write_flight_recording).
-    pub fn run_campaign_flight_with_progress<F>(
-        &self,
-        config: &CampaignConfig,
-        progress_every: Duration,
-        sink: F,
-    ) -> (Campaign, FlightRecording, RunManifest)
-    where
-        F: FnMut(&str) + Send,
-    {
-        let ((campaign, recording), manifest) =
-            self.run_with_progress_impl(config, progress_every, sink, |scanner, cfg| {
-                scanner.run_campaign_flight(cfg)
-            });
-        (campaign, recording, manifest)
-    }
-
-    /// The streamed, bounded-memory campaign with the flight recorder
-    /// armed, live progress reporting, and a run manifest — the full
-    /// operator path without ever materializing the record vector.
-    /// Columnar batches reach `batch_sink` on the calling thread, in
-    /// deterministic batch order; `budget_bytes` caps resident record
-    /// bytes as in [`run_campaign_streamed`](Scanner::run_campaign_streamed)
-    /// (`0` = unbounded).
-    pub fn run_campaign_streamed_flight_with_progress<S, F>(
-        &self,
-        config: &CampaignConfig,
-        budget_bytes: usize,
-        progress_every: Duration,
-        progress: F,
-        batch_sink: S,
-    ) -> (FlightRecording, RunManifest)
-    where
-        S: FnMut(&RecordBatch),
-        F: FnMut(&str) + Send,
-    {
-        let mut config = config.clone();
-        config.flight.enabled = true;
-        self.run_with_progress_impl(&config, progress_every, progress, move |scanner, cfg| {
-            let n = scanner.population.len() as u32;
-            let shard = scanner.run_campaign_streamed_over(cfg, 0..n, budget_bytes, batch_sink);
-            scanner.finalize_flight(cfg, shard)
-        })
-    }
-
-    /// Shared monitor-thread scaffolding for the `*_with_progress` family.
-    fn run_with_progress_impl<F, T>(
+    pub fn with_progress<F, T>(
         &self,
         config: &CampaignConfig,
         progress_every: Duration,
@@ -920,6 +649,97 @@ impl<'p> Scanner<'p> {
     }
 }
 
+/// The threaded engine's in-order hand-off. Workers publish finished
+/// batches keyed by batch index; the calling thread takes them back
+/// strictly in index order. A batch stays accounted against the byte
+/// budget until the sink has folded it. Workers block only after
+/// publishing, before they claim new work — never between claim and
+/// publish — so the batch the consumer waits for next is always either
+/// unclaimed (then no later batch was claimed either, nothing is
+/// resident and the gate is open) or on its way: the budget cannot
+/// deadlock the pipeline.
+#[derive(Default)]
+struct Mailbox<B> {
+    state: Mutex<MailboxState<B>>,
+    /// Signalled when a batch is published or the sweep stops.
+    ready: Condvar,
+    /// Signalled when resident bytes are released or the sweep stops.
+    space: Condvar,
+    budget_bytes: usize,
+}
+
+#[derive(Default)]
+struct MailboxState<B> {
+    pending: BTreeMap<u32, (B, usize)>,
+    resident: usize,
+    /// Set when a worker or the consumer unwinds: nobody waits any more.
+    stopped: bool,
+}
+
+impl<B: CampaignBatch> Mailbox<B> {
+    /// The state, even if a panicking thread poisoned the lock: every
+    /// critical section leaves it consistent.
+    fn lock(&self) -> MutexGuard<'_, MailboxState<B>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn publish(&self, index: u32, batch: B, reg: &Registry) {
+        let bytes = batch.resident_bytes();
+        let mut s = self.lock();
+        s.resident += bytes;
+        s.pending.insert(index, (batch, bytes));
+        if reg.is_enabled() {
+            reg.gauge_max(GaugeId::PeakRecordBytes, s.resident as u64);
+            reg.gauge_max(GaugeId::EventQueueDepth, s.pending.len() as u64);
+        }
+        drop(s);
+        self.ready.notify_one();
+    }
+
+    /// Blocks while the budget is exhausted; `false` once the sweep has
+    /// stopped and the worker should claim nothing more.
+    fn wait_for_space(&self) -> bool {
+        let mut s = self.lock();
+        while self.budget_bytes > 0 && s.resident >= self.budget_bytes && !s.stopped {
+            s = self.space.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        !s.stopped
+    }
+
+    /// Waits for batch `index`; `None` once the sweep has stopped.
+    fn take(&self, index: u32) -> Option<(B, usize)> {
+        let mut s = self.lock();
+        loop {
+            if s.stopped {
+                return None;
+            }
+            if let Some(entry) = s.pending.remove(&index) {
+                return Some(entry);
+            }
+            s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn release(&self, bytes: usize) {
+        self.lock().resident -= bytes;
+        self.space.notify_all();
+    }
+}
+
+/// Stops the sweep and wakes every waiter if its thread unwinds, so one
+/// panic cannot leave the other threads blocked forever.
+struct StopOnUnwind<'a, B: CampaignBatch>(&'a Mailbox<B>);
+
+impl<B: CampaignBatch> Drop for StopOnUnwind<'_, B> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().stopped = true;
+            self.0.ready.notify_all();
+            self.0.space.notify_all();
+        }
+    }
+}
+
 /// Samples the registry into one live (wall-clock) time-series point.
 fn live_point(reg: &Registry, snap: &ProgressSnapshot) -> TimePoint {
     let handshake = reg.stage_histogram(Stage::Handshake).to_shard();
@@ -956,19 +776,6 @@ fn render_trend(live: &TimeSeries) -> Option<String> {
         100.0 * first.error_rate(),
         100.0 * last.error_rate(),
     ))
-}
-
-/// Notes the configured tap position on the vantage gauge (once per
-/// sweep; untapped campaigns leave the gauge at zero).
-fn note_tap_vantage(config: &CampaignConfig) {
-    if let Some(tap) = config.tap {
-        if config.telemetry.is_enabled() {
-            config.telemetry.gauge_set(
-                GaugeId::ObserverVantageMillionths,
-                crate::observe::vantage_millionths(tap) as u64,
-            );
-        }
-    }
 }
 
 /// Folds one scanned domain's outcome into the registry's live counters.
@@ -1050,10 +857,12 @@ mod tests {
         let pop = tiny_pop();
         let scanner = Scanner::new(&pop);
         let mut lines: Vec<String> = Vec::new();
-        let (campaign, manifest) =
-            scanner.run_campaign_with_progress(&clean_config(), Duration::from_millis(1), |line| {
-                lines.push(line.to_string())
-            });
+        let (campaign, manifest) = scanner.with_progress(
+            &clean_config(),
+            Duration::from_millis(1),
+            |line| lines.push(line.to_string()),
+            |scanner, config| scanner.run_campaign(config),
+        );
 
         // Telemetry must not perturb results: same records as a plain run.
         let plain = scanner.run_campaign(&clean_config());
@@ -1110,9 +919,12 @@ mod tests {
         let pop = tiny_pop();
         let scanner = Scanner::new(&pop);
         let mut lines: Vec<String> = Vec::new();
-        scanner.run_campaign_with_progress(&clean_config(), Duration::from_millis(1), |line| {
-            lines.push(line.to_string())
-        });
+        scanner.with_progress(
+            &clean_config(),
+            Duration::from_millis(1),
+            |line| lines.push(line.to_string()),
+            |scanner, config| scanner.run_campaign(config),
+        );
         let counts: Vec<u64> = lines
             .iter()
             .filter_map(|l| l.strip_prefix("progress "))
@@ -1216,49 +1028,157 @@ mod tests {
         assert!(measured > 0, "some tapped flows must be measurable");
     }
 
-    #[test]
-    fn work_stealing_visits_every_id_exactly_once_in_order() {
-        // Drive the fold engine directly: each fold call is one domain, so
-        // accumulating ids proves exactly-once coverage, and the merged
-        // order must be ascending regardless of which worker stole what.
-        let pop = tiny_pop();
-        let scanner = Scanner::new(&pop);
-        let cfg = CampaignConfig {
-            threads: 8,
-            ..clean_config()
-        };
-        // An offset, non-multiple-of-BATCH_SIZE range exercises the edge
-        // batches too.
-        let ids = 3..pop.len() as u32 - 7;
-        let visited = scanner.run_campaign_fold(
-            &cfg,
-            ids.clone(),
-            Vec::new,
-            |acc: &mut Vec<u32>, records: &mut Vec<ConnectionRecord>| {
-                assert!(!records.is_empty(), "every domain yields >= 1 record");
-                acc.push(records[0].domain_id);
-            },
-            |acc, mut batch| acc.append(&mut batch),
-        );
-        assert_eq!(visited, ids.collect::<Vec<u32>>());
+    /// A test batch keeping one domain id per `push_domain` call, so a
+    /// sweep's batches show exactly which domains were scanned, in order.
+    #[derive(Default)]
+    struct DomainIds(Vec<u32>);
+
+    impl CampaignBatch for DomainIds {
+        fn push_domain(&mut self, records: &mut Vec<ConnectionRecord>) {
+            assert!(!records.is_empty(), "every domain yields >= 1 record");
+            self.0.push(records[0].domain_id);
+        }
+
+        fn resident_bytes(&self) -> usize {
+            self.0.len()
+        }
+
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    /// The domain whose push panics in [`PanicsOnPoison`].
+    const POISON: u32 = 77;
+
+    /// A test batch whose push panics on domain [`POISON`]; one resident
+    /// byte per domain, so a 1-byte budget makes every worker block.
+    #[derive(Default)]
+    struct PanicsOnPoison(usize);
+
+    impl CampaignBatch for PanicsOnPoison {
+        fn push_domain(&mut self, records: &mut Vec<ConnectionRecord>) {
+            assert_ne!(records[0].domain_id, POISON, "poisoned domain");
+            self.0 += 1;
+        }
+
+        fn resident_bytes(&self) -> usize {
+            self.0
+        }
+
+        fn clear(&mut self) {
+            self.0 = 0;
+        }
+    }
+
+    fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
     }
 
     #[test]
-    fn fold_engine_handles_empty_and_tiny_ranges() {
+    fn work_stealing_visits_every_id_exactly_once_in_order() {
+        // Each push is one domain, so collecting ids proves exactly-once
+        // coverage, and the sink order must be ascending regardless of
+        // which worker stole what.
         let pop = tiny_pop();
         let scanner = Scanner::new(&pop);
-        let count = |ids: std::ops::Range<u32>| {
-            scanner.run_campaign_fold(
-                &clean_config(),
-                ids,
-                || 0usize,
-                |acc: &mut usize, _records: &mut Vec<ConnectionRecord>| *acc += 1,
-                |acc, batch| *acc += batch,
-            )
-        };
-        assert_eq!(count(5..5), 0);
-        assert_eq!(count(5..6), 1);
-        assert_eq!(count(0..65), 65);
+        // An offset, non-multiple-of-BATCH_SIZE range exercises the edge
+        // batches too.
+        let ids = 3..pop.len() as u32 - 7;
+        for threads in [1, 8] {
+            let cfg = CampaignConfig {
+                threads,
+                ..clean_config()
+            };
+            let mut visited = Vec::new();
+            scanner.sweep(&cfg, ids.clone(), 0, |batch: &mut DomainIds| {
+                visited.append(&mut batch.0)
+            });
+            assert_eq!(
+                visited,
+                ids.clone().collect::<Vec<u32>>(),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_handles_empty_and_tiny_ranges() {
+        let pop = tiny_pop();
+        let scanner = Scanner::new(&pop);
+        for threads in [1, 8] {
+            let cfg = CampaignConfig {
+                threads,
+                ..clean_config()
+            };
+            let visit = |ids: Range<u32>| {
+                let mut visited = Vec::new();
+                let recording = scanner.sweep(&cfg, ids, 0, |batch: &mut DomainIds| {
+                    visited.append(&mut batch.0)
+                });
+                assert!(recording.is_none(), "flight is off in the config");
+                visited
+            };
+            assert_eq!(visit(5..5).len(), 0);
+            assert_eq!(visit(5..6), vec![5]);
+            assert_eq!(visit(0..65).len(), 65);
+            assert_eq!(visit(0..65), (0..65).collect::<Vec<u32>>());
+        }
+    }
+
+    #[test]
+    fn worker_panic_is_reraised_instead_of_hanging() {
+        let pop = tiny_pop();
+        let scanner = Scanner::new(&pop);
+        for threads in [1, 4] {
+            for budget in [0, 1] {
+                let cfg = CampaignConfig {
+                    threads,
+                    ..clean_config()
+                };
+                let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    scanner.sweep(
+                        &cfg,
+                        0..pop.len() as u32,
+                        budget,
+                        |_: &mut PanicsOnPoison| {},
+                    )
+                }));
+                let message = panic_message(swept.expect_err("the poisoned push must panic"));
+                assert!(
+                    message.contains("poisoned domain"),
+                    "{threads} threads, budget {budget}: {message:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sink_panic_stops_the_workers() {
+        let pop = tiny_pop();
+        let scanner = Scanner::new(&pop);
+        for threads in [1, 4] {
+            let cfg = CampaignConfig {
+                threads,
+                ..clean_config()
+            };
+            let mut seen = 0;
+            let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scanner.sweep(&cfg, 0..pop.len() as u32, 1, |_: &mut DomainIds| {
+                    seen += 1;
+                    assert!(seen < 2, "sink gave up");
+                })
+            }));
+            let message = panic_message(swept.expect_err("the sink must panic"));
+            assert!(
+                message.contains("sink gave up"),
+                "{threads} threads: {message:?}"
+            );
+        }
     }
 
     #[test]
@@ -1271,7 +1191,7 @@ mod tests {
         };
         let materialized = scanner.run_campaign(&cfg);
         let mut rows = Vec::new();
-        scanner.run_campaign_streamed(&cfg, 0, |batch| {
+        scanner.sweep(&cfg, 0..pop.len() as u32, 0, |batch: &mut RecordBatch| {
             for group in batch.groups() {
                 rows.extend(group);
             }
@@ -1295,10 +1215,15 @@ mod tests {
         let budget = 16 * 1024usize;
         let mut batches = 0u32;
         let mut max_batch = 0usize;
-        scanner.run_campaign_streamed(&cfg, budget, |batch| {
-            batches += 1;
-            max_batch = max_batch.max(batch.approx_bytes());
-        });
+        scanner.sweep(
+            &cfg,
+            0..pop.len() as u32,
+            budget,
+            |batch: &mut RecordBatch| {
+                batches += 1;
+                max_batch = max_batch.max(batch.approx_bytes());
+            },
+        );
         assert_eq!(batches, (pop.len() as u32).div_ceil(BATCH_SIZE));
         assert_eq!(reg.gauge(GaugeId::RecordBudgetBytes), budget as u64);
         assert!(reg.gauge(GaugeId::EventQueueDepth) >= 1);
@@ -1325,7 +1250,12 @@ mod tests {
                 ..clean_config()
             };
             if streamed {
-                scanner.run_campaign_streamed(&cfg, 8 * 1024, |_| {});
+                scanner.sweep(
+                    &cfg,
+                    0..pop.len() as u32,
+                    8 * 1024,
+                    |_: &mut RecordBatch| {},
+                );
             } else {
                 scanner.run_campaign(&cfg);
             }
@@ -1342,7 +1272,7 @@ mod tests {
         // The deterministic half of the profile (enters / allocs /
         // queue-ops per scope) is a pure function of the record stream,
         // so the exported doc must serialize identically for 1 and 4
-        // workers on both the materializing and streamed paths.
+        // workers with record-vector and columnar batches alike.
         let pop = tiny_pop();
         let scanner = Scanner::new(&pop);
         let doc = |threads: usize, streamed: bool| {
@@ -1354,7 +1284,12 @@ mod tests {
                 ..clean_config()
             };
             if streamed {
-                scanner.run_campaign_streamed(&cfg, 8 * 1024, |_| {});
+                scanner.sweep(
+                    &cfg,
+                    0..pop.len() as u32,
+                    8 * 1024,
+                    |_: &mut RecordBatch| {},
+                );
             } else {
                 scanner.run_campaign(&cfg);
             }

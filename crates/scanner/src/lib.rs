@@ -35,7 +35,7 @@ pub use artifacts::{
     MANIFEST_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME,
     TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
 };
-pub use batch::{RecordBatch, RecordRow};
+pub use batch::{CampaignBatch, RecordBatch, RecordRow};
 pub use campaign::{Campaign, CampaignConfig, Scanner};
 pub use flight::{
     Anomaly, AnomalyIndex, AnomalyKind, FlightConfig, FlightRecording, FlightShard, ProbeId,

@@ -46,8 +46,12 @@ pub fn fixture() -> &'static Fixture {
         config.flight.baseline_sample_every = 16;
         config.conditions.loss = 0.05;
         let scanner = Scanner::new(&population);
-        let (campaign, recording, manifest) =
-            scanner.run_campaign_flight_with_progress(&config, Duration::from_secs(3600), |_| {});
+        let ((campaign, recording), manifest) = scanner.with_progress(
+            &config,
+            Duration::from_secs(3600),
+            |_| {},
+            |scanner, config| scanner.run_campaign_flight(config),
+        );
         let first = recording.retained().first().expect("a retained trace");
         Fixture {
             index: recording.index(),

@@ -15,7 +15,7 @@
 //!    counts, allocation deltas, event-queue-op deltas), while wall-time
 //!    weights ride exclusively in the collapsed-stack export
 //!    (`profile.folded`) meant for flamegraph tooling. Scopes that only
-//!    exist on some execution shapes (the streamed path's batch mailbox
+//!    exist on some execution shapes (the threaded engine's batch mailbox
 //!    has no counterpart at `--threads 1`) are marked non-deterministic
 //!    and excluded from `profile.json` entirely.
 //! 2. **Hot-path overhead under the CI-gated 3% budget.** Only the
@@ -89,7 +89,7 @@ pub enum ScopeId {
     QlogEncode,
     /// Folding finished domain records into the shared accumulators.
     RecordIntern,
-    /// Streamed-path producer blocking on the bounded batch mailbox.
+    /// Threaded-engine worker publishing into the in-order batch mailbox.
     /// Wall-only and shape-dependent (`--threads 1` has no mailbox), so
     /// non-deterministic and excluded from `profile.json`.
     BatchMailbox,
@@ -665,8 +665,8 @@ mod tests {
             }
             assert_eq!(ScopeId::from_path(s.path()), Some(s));
         }
-        // The deliberate exception: the batch mailbox only exists on the
-        // threaded streamed path, so it must stay out of profile.json.
+        // The deliberate exception: the batch mailbox only exists on
+        // threaded sweeps, so it must stay out of profile.json.
         assert!(!ScopeId::BatchMailbox.deterministic());
         assert_eq!(
             ScopeId::ALL.iter().filter(|s| !s.deterministic()).count(),

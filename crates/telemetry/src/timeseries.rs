@@ -13,7 +13,7 @@
 //! * the **deterministic builder** in the scanner walks the merged record
 //!   stream after a campaign and samples cumulative virtual-clock state one
 //!   point per probed domain (this is what gets persisted), and
-//! * the **monitor thread** in `run_campaign_with_progress` pushes one
+//! * the **monitor thread** in `Scanner::with_progress` pushes one
 //!   wall-clock point per progress tick for live trend display (never
 //!   persisted — wall time is not reproducible).
 //!

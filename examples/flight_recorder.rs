@@ -35,10 +35,12 @@ fn main() {
         flight,
         ..CampaignConfig::default()
     };
-    let (campaign, recording, manifest) =
-        scanner.run_campaign_flight_with_progress(&config, Duration::from_secs(2), |line| {
-            eprintln!("{line}")
-        });
+    let ((campaign, recording), manifest) = scanner.with_progress(
+        &config,
+        Duration::from_secs(2),
+        |line| eprintln!("{line}"),
+        |scanner, config| scanner.run_campaign_flight(config),
+    );
 
     println!(
         "campaign {}: {} records, {} anomalies on {} probes",

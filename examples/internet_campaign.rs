@@ -24,10 +24,11 @@ fn main() {
 
     // --- IPv4 sweep (Tables 1, 2, 3, §4.2) --------------------------------
     eprintln!("running IPv4 campaign (CW 20 analogue) ...");
-    let (v4, manifest) = scanner.run_campaign_with_progress(
+    let (v4, manifest) = scanner.with_progress(
         &CampaignConfig::default(),
         Duration::from_secs(2),
         |line| eprintln!("{line}"),
+        |scanner, config| scanner.run_campaign(config),
     );
     eprintln!("{} records", v4.len());
     match write_run_manifest(std::path::Path::new("target/campaign"), &manifest) {

@@ -85,6 +85,18 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   profile --diff "$SPINCTL_DIR/p" "$SPINCTL_DIR/p"
 
+# Thread-identity smoke: the same seeded, profiled campaign at --threads
+# 1 and --threads 4 must write byte-identical deterministic artifacts
+# (metrics.json and profile.folded carry wall-clock values and differ).
+for threads in 1 4; do
+  cargo run --release -p quicspin-spinctl --bin spinctl -- \
+    run --dir "$SPINCTL_DIR/t$threads" --domains 600 --seed 7 --sample-every 16 \
+    --profile --threads "$threads"
+done
+for file in anomalies.json traces.bin observer.json timeseries.json trace.json profile.json; do
+  cmp "$SPINCTL_DIR/t1/$file" "$SPINCTL_DIR/t4/$file"
+done
+
 # Corrupted-artifact smoke: each JSON artifact a subcommand reads, cut to
 # half its length, must fail that subcommand with exit 1 and a one-line
 # diagnostic (the JSON parser's error path, never a panic).

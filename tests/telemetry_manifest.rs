@@ -24,10 +24,12 @@ fn instrumented_campaign_exports_complete_manifest() {
         ..CampaignConfig::default()
     };
     let mut progress_lines = 0usize;
-    let (campaign, manifest) =
-        scanner.run_campaign_with_progress(&config, Duration::from_millis(1), |_line| {
-            progress_lines += 1
-        });
+    let (campaign, manifest) = scanner.with_progress(
+        &config,
+        Duration::from_millis(1),
+        |_line| progress_lines += 1,
+        |scanner, config| scanner.run_campaign(config),
+    );
     assert!(progress_lines >= 2, "final progress line + summary table");
 
     // Probe accounting: every domain probed, completions + errors add up.
@@ -131,8 +133,12 @@ fn telemetry_does_not_change_campaign_results() {
         ..CampaignConfig::default()
     };
     let plain = scanner.run_campaign(&config);
-    let (instrumented, _manifest) =
-        scanner.run_campaign_with_progress(&config, Duration::from_secs(60), |_| {});
+    let (instrumented, _manifest) = scanner.with_progress(
+        &config,
+        Duration::from_secs(60),
+        |_| {},
+        |scanner, config| scanner.run_campaign(config),
+    );
     assert_eq!(
         serde_json::to_string(&plain.records).unwrap(),
         serde_json::to_string(&instrumented.records).unwrap(),
