@@ -1,4 +1,5 @@
-//! Domain- and host-level rollups of campaign records.
+//! Domain-level counters of campaign records, folded one domain group at
+//! a time.
 
 use quicspin_core::FlowClassification;
 use quicspin_scanner::{Campaign, ConnectionRecord, ScanOutcome};
@@ -22,33 +23,55 @@ pub enum DomainClass {
     Grease,
 }
 
-/// Rollup of one domain's connections in one campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DomainRollup {
-    /// Domain id.
-    pub domain_id: u32,
-    /// List membership.
-    pub list: ListKind,
-    /// Whether DNS resolved.
-    pub resolved: bool,
-    /// Whether at least one connection was established.
-    pub quic: bool,
-    /// Spin behaviour.
-    pub class: DomainClass,
-    /// Host of the domain (if any connection reached one).
-    pub host: Option<HostAddr>,
+/// Domain counters of one list, or summed over a list selection.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DomainCounts {
+    /// Scanned domains.
+    pub total: u64,
+    /// Domains that resolved.
+    pub resolved: u64,
+    /// Domains per [`DomainClass`], indexed by `class as usize`.
+    pub classes: [u64; 5],
+}
+
+impl DomainCounts {
+    /// Domains of one class.
+    pub fn class(&self, class: DomainClass) -> u64 {
+        self.classes[class as usize]
+    }
+
+    /// Domains with at least one established QUIC connection.
+    pub fn quic(&self) -> u64 {
+        self.total - self.class(DomainClass::NoQuic)
+    }
+
+    fn add(&mut self, other: &DomainCounts) {
+        self.total += other.total;
+        self.resolved += other.resolved;
+        for (mine, theirs) in self.classes.iter_mut().zip(other.classes) {
+            *mine += theirs;
+        }
+    }
 }
 
 /// Per-campaign summary: the material for Tables 1/3/4.
+///
+/// Records are folded one domain group (all of a domain's redirect hops)
+/// at a time, so each domain is classified exactly once and the state is
+/// proportional to lists and distinct hosts, not to domains. Groups must
+/// arrive in ascending domain-id order — the campaign engine's output
+/// order — and [`DatasetFold`](crate::DatasetFold) panics when they do
+/// not, rather than count a split group twice.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignSummary {
-    /// One rollup per scanned domain.
-    pub domains: Vec<DomainRollup>,
-    /// Per-host rollup: does the host show spin activity on ≥ 1 conn?
-    pub hosts: BTreeMap<HostAddr, bool>,
+    lists: BTreeMap<ListKind, DomainCounts>,
+    /// (list, host) → did any of that list's QUIC domains on the host spin?
+    hosts: BTreeMap<(ListKind, HostAddr), bool>,
+    /// First and last domain id folded so far.
+    ids: Option<(u32, u32)>,
 }
 
-fn classify_domain(records: &[&ConnectionRecord]) -> DomainClass {
+fn classify_domain(records: &[ConnectionRecord]) -> DomainClass {
     let mut any_quic = false;
     let mut any_spin = false;
     let mut any_grease = false;
@@ -83,81 +106,98 @@ fn classify_domain(records: &[&ConnectionRecord]) -> DomainClass {
 impl CampaignSummary {
     /// Builds the summary from a campaign.
     pub fn build(campaign: &Campaign) -> Self {
-        Self::from_records(&campaign.records)
+        let mut summary = CampaignSummary::default();
+        summary.push(&campaign.records);
+        summary
     }
 
-    /// Builds the summary from a record slice — the shard-level entry
-    /// point of [`Dataset::build_parallel`](crate::parallel::Dataset).
-    pub fn from_records(records: &[ConnectionRecord]) -> Self {
-        let mut per_domain: BTreeMap<u32, Vec<&ConnectionRecord>> = BTreeMap::new();
-        for r in records {
-            per_domain.entry(r.domain_id).or_default().push(r);
-        }
-        let mut domains = Vec::with_capacity(per_domain.len());
-        let mut hosts: BTreeMap<HostAddr, bool> = BTreeMap::new();
-        for (domain_id, records) in per_domain {
-            let first = records[0];
-            let resolved = first.outcome != ScanOutcome::NotResolved;
-            let class = classify_domain(&records);
-            let quic = class != DomainClass::NoQuic;
-            let host = records.iter().find_map(|r| r.host);
-            if quic {
-                if let Some(host) = host {
-                    let spin_here = matches!(class, DomainClass::Spin)
-                        || records.iter().any(|r| r.has_spin_activity());
-                    let entry = hosts.entry(host).or_insert(false);
-                    *entry |= spin_here;
+    /// Folds every domain group of `records`, in order. A group may not
+    /// continue across two pushes.
+    ///
+    /// # Panics
+    ///
+    /// If a domain id is not above the previous group's id.
+    pub(crate) fn push(&mut self, records: &[ConnectionRecord]) {
+        for group in records.chunk_by(|a, b| a.domain_id == b.domain_id) {
+            let id = group[0].domain_id;
+            self.ids = match self.ids {
+                None => Some((id, id)),
+                Some((_, last)) if id <= last => {
+                    panic!("domain id {id} follows domain id {last}: records must come in ascending domain-id order, one contiguous group per domain")
                 }
-            }
-            domains.push(DomainRollup {
-                domain_id,
-                list: first.list,
-                resolved,
-                quic,
-                class,
-                host,
-            });
-        }
-        CampaignSummary { domains, hosts }
-    }
-
-    /// Merges a summary built over a later, disjoint stretch of the
-    /// record stream. Shards must be split on domain boundaries and
-    /// merged in stream order for `domains` to stay sorted by id.
-    pub fn merge(&mut self, other: CampaignSummary) {
-        self.domains.extend(other.domains);
-        for (host, spin) in other.hosts {
-            let entry = self.hosts.entry(host).or_insert(false);
-            *entry |= spin;
+                Some((first, _)) => Some((first, id)),
+            };
+            self.push_group(group);
         }
     }
 
-    /// Domains of one list selection.
-    pub fn domains_in<'a>(
-        &'a self,
-        filter: impl Fn(ListKind) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a DomainRollup> {
-        self.domains.iter().filter(move |d| filter(d.list))
+    fn push_group(&mut self, group: &[ConnectionRecord]) {
+        let first = &group[0];
+        let class = classify_domain(group);
+        let counts = self.lists.entry(first.list).or_default();
+        counts.total += 1;
+        if first.outcome != ScanOutcome::NotResolved {
+            counts.resolved += 1;
+        }
+        counts.classes[class as usize] += 1;
+        if class != DomainClass::NoQuic {
+            if let Some(host) = group.iter().find_map(|r| r.host) {
+                *self.hosts.entry((first.list, host)).or_insert(false) |=
+                    class == DomainClass::Spin;
+            }
+        }
     }
 
-    /// Hosts serving at least one QUIC domain of the list selection,
-    /// with their spin flag.
-    pub fn hosts_in(&self, filter: impl Fn(ListKind) -> bool) -> BTreeMap<HostAddr, bool> {
-        let mut out: BTreeMap<HostAddr, bool> = BTreeMap::new();
-        for d in self.domains.iter().filter(|d| d.quic && filter(d.list)) {
-            if let Some(host) = d.host {
-                let spin = matches!(d.class, DomainClass::Spin);
-                let entry = out.entry(host).or_insert(false);
-                *entry |= spin;
+    /// Merges a summary folded over a later stretch of the record
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// If `later` does not start above this summary's last domain id.
+    pub(crate) fn merge(&mut self, later: CampaignSummary) {
+        self.ids = match (self.ids, later.ids) {
+            (Some((_, last)), Some((first, _))) if first <= last => {
+                panic!("merged summary starts at domain id {first}, not after domain id {last}: merge shards in ascending domain-id order")
             }
+            (Some((first, _)), Some((_, last))) => Some((first, last)),
+            (mine, theirs) => mine.or(theirs),
+        };
+        for (list, counts) in later.lists {
+            self.lists.entry(list).or_default().add(&counts);
+        }
+        for (key, spin) in later.hosts {
+            *self.hosts.entry(key).or_insert(false) |= spin;
+        }
+    }
+
+    /// Domain counters summed over a list selection.
+    pub fn counts(&self, filter: impl Fn(ListKind) -> bool) -> DomainCounts {
+        let mut out = DomainCounts::default();
+        for (_, counts) in self.lists.iter().filter(|&(&list, _)| filter(list)) {
+            out.add(counts);
         }
         out
+    }
+
+    /// Distinct hosts serving QUIC domains of a list selection, and how
+    /// many of them serve a spinning one: `(quic_ips, spin_ips)`. A host
+    /// serving domains of several selected lists counts once.
+    pub fn host_counts(&self, filter: impl Fn(ListKind) -> bool) -> (u64, u64) {
+        let mut hosts: BTreeMap<HostAddr, bool> = BTreeMap::new();
+        for (&(list, host), &spin) in &self.hosts {
+            if filter(list) {
+                *hosts.entry(host).or_insert(false) |= spin;
+            }
+        }
+        let spinning = hosts.values().filter(|&&spin| spin).count();
+        (hosts.len() as u64, spinning as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overview::OverviewTable;
     use quicspin_core::ObserverReport;
     use quicspin_webpop::{IpVersion, Org};
 
@@ -212,16 +252,12 @@ mod tests {
             record(5, ScanOutcome::NoQuic, None),
             record(6, ScanOutcome::NotResolved, None),
         ]);
-        let s = CampaignSummary::build(&c);
-        let class_of = |id: u32| s.domains.iter().find(|d| d.domain_id == id).unwrap().class;
-        assert_eq!(class_of(1), DomainClass::Spin);
-        assert_eq!(class_of(2), DomainClass::Grease);
-        assert_eq!(class_of(3), DomainClass::AllOne);
-        assert_eq!(class_of(4), DomainClass::AllZero);
-        assert_eq!(class_of(5), DomainClass::NoQuic);
-        assert_eq!(class_of(6), DomainClass::NoQuic);
-        let d6 = s.domains.iter().find(|d| d.domain_id == 6).unwrap();
-        assert!(!d6.resolved);
+        let counts = CampaignSummary::build(&c).counts(|_| true);
+        // One domain per class, except the two without QUIC.
+        assert_eq!(counts.classes, [2, 1, 1, 1, 1]);
+        assert_eq!(counts.total, 6);
+        assert_eq!(counts.quic(), 4);
+        assert_eq!(counts.resolved, 5, "domain 6 did not resolve");
     }
 
     #[test]
@@ -229,13 +265,12 @@ mod tests {
         // Domains 1 (spin) and 3 (all-zero) share host 1; domain 2 on host 0.
         let c = campaign(vec![
             record(1, ScanOutcome::Ok, Some(FlowClassification::Spinning)),
-            record(3, ScanOutcome::Ok, Some(FlowClassification::AllZero)),
             record(2, ScanOutcome::Ok, Some(FlowClassification::AllZero)),
+            record(3, ScanOutcome::Ok, Some(FlowClassification::AllZero)),
         ]);
-        let s = CampaignSummary::build(&c);
-        assert_eq!(s.hosts.len(), 2);
-        let spin_hosts = s.hosts.values().filter(|&&v| v).count();
-        assert_eq!(spin_hosts, 1, "host with domain 1 spins");
+        let row = OverviewTable::from_campaign(&c).com_net_org;
+        assert_eq!(row.quic_ips, 2);
+        assert_eq!(row.spin_ips, 1, "host with domain 1 spins");
     }
 
     #[test]
@@ -245,10 +280,20 @@ mod tests {
         let r2 = record(2, ScanOutcome::Ok, Some(FlowClassification::Spinning));
         let c = campaign(vec![r1, r2]);
         let s = CampaignSummary::build(&c);
-        assert_eq!(s.domains_in(|l| l == ListKind::Toplist).count(), 1);
-        assert_eq!(s.domains_in(ListKind::is_czds).count(), 1);
-        let czds_hosts = s.hosts_in(ListKind::is_czds);
-        assert_eq!(czds_hosts.len(), 1);
-        assert!(czds_hosts.values().all(|&v| v));
+        assert_eq!(s.counts(|l| l == ListKind::Toplist).total, 1);
+        assert_eq!(s.counts(ListKind::is_czds).total, 1);
+        assert_eq!(s.host_counts(ListKind::is_czds), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "domain id 2 follows domain id 2")]
+    fn a_group_split_across_pushes_panics() {
+        let records = [
+            record(2, ScanOutcome::Ok, Some(FlowClassification::AllZero)),
+            record(2, ScanOutcome::NoQuic, None),
+        ];
+        let mut s = CampaignSummary::default();
+        s.push(&records[..1]);
+        s.push(&records[1..]);
     }
 }

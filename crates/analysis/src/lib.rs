@@ -1,7 +1,10 @@
 //! # quicspin-analysis — regenerating the paper's tables and figures
 //!
 //! Takes the scanner's [`Campaign`](quicspin_scanner::Campaign) records
-//! and computes every result the paper reports:
+//! and computes every result the paper reports. Tables 1–4, Figs. 3–4,
+//! §4.2 and §5.2 all come from one in-order per-domain fold,
+//! [`DatasetFold`], fed a whole campaign, shards of one, or the campaign
+//! engine's batches as they are swept:
 //!
 //! | Module | Paper artefact |
 //! |---|---|
@@ -14,8 +17,9 @@
 //! | [`reordering`] | §5.2 — received-order vs. sorted-order impact |
 //! | [`vantage`] | on-path observer accuracy across tap positions and path conditions |
 //! | [`webserver`] | §4.2 — web-server attribution of spin support |
+//! | [`dataset`] | per-list domain counters and the (list, host) spin map behind Tables 1, 3, 4 |
+//! | [`parallel`] | [`Dataset`] and [`DatasetFold`] — Tables 1–4, Figs. 3–4, §4.2 and §5.2 from one fold |
 //! | [`render`] | ASCII tables / bar charts and CSV export |
-//! | [`parallel`] | [`Dataset`] — every artefact at once, optionally sharded |
 
 pub mod dataset;
 pub mod fig2;
@@ -29,45 +33,19 @@ pub mod render;
 pub mod reordering;
 pub mod spin_config;
 pub mod stats;
-pub mod streaming;
 pub mod vantage;
 pub mod webserver;
 
-pub use dataset::{CampaignSummary, DomainClass};
+pub use dataset::{CampaignSummary, DomainClass, DomainCounts};
 pub use fig2::LongitudinalFigure;
 pub use fig3::AbsoluteAccuracyFigure;
 pub use fig4::RatioAccuracyFigure;
 pub use histogram::Histogram;
 pub use orgs::OrgTable;
 pub use overview::OverviewTable;
-pub use parallel::Dataset;
+pub use parallel::{Dataset, DatasetFold};
 pub use reordering::ReorderingImpact;
 pub use spin_config::SpinConfigTable;
 pub use stats::Summary;
-pub use streaming::{aggregate_campaign, CampaignAggregates};
 pub use vantage::{VantageCell, VantageFigure};
 pub use webserver::WebServerShares;
-
-/// Bundled accuracy figures (Figs. 3 + 4 + §5.2) from one dataset.
-#[derive(Debug, Clone)]
-pub struct AccuracyFigures {
-    /// Fig. 3.
-    pub fig3: AbsoluteAccuracyFigure,
-    /// Fig. 4.
-    pub fig4: RatioAccuracyFigure,
-    /// §5.2 reordering statistics.
-    pub reordering: ReorderingImpact,
-}
-
-impl AccuracyFigures {
-    /// Computes all accuracy artefacts from established records.
-    pub fn from_records<'a>(
-        records: impl Iterator<Item = &'a quicspin_scanner::ConnectionRecord> + Clone,
-    ) -> AccuracyFigures {
-        AccuracyFigures {
-            fig3: AbsoluteAccuracyFigure::from_records(records.clone()),
-            fig4: RatioAccuracyFigure::from_records(records.clone()),
-            reordering: ReorderingImpact::from_records(records),
-        }
-    }
-}

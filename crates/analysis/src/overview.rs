@@ -89,30 +89,16 @@ impl OverviewTable {
     }
 
     fn row(summary: &CampaignSummary, filter: impl Fn(ListKind) -> bool + Copy) -> OverviewRow {
-        let mut row = OverviewRow {
-            total_domains: 0,
-            resolved_domains: 0,
-            quic_domains: 0,
-            spin_domains: 0,
-            quic_ips: 0,
-            spin_ips: 0,
-        };
-        for d in summary.domains_in(filter) {
-            row.total_domains += 1;
-            if d.resolved {
-                row.resolved_domains += 1;
-            }
-            if d.quic {
-                row.quic_domains += 1;
-            }
-            if d.class == DomainClass::Spin {
-                row.spin_domains += 1;
-            }
+        let counts = summary.counts(filter);
+        let (quic_ips, spin_ips) = summary.host_counts(filter);
+        OverviewRow {
+            total_domains: counts.total,
+            resolved_domains: counts.resolved,
+            quic_domains: counts.quic(),
+            spin_domains: counts.class(DomainClass::Spin),
+            quic_ips,
+            spin_ips,
         }
-        let hosts = summary.hosts_in(filter);
-        row.quic_ips = hosts.len() as u64;
-        row.spin_ips = hosts.values().filter(|&&spin| spin).count() as u64;
-        row
     }
 
     /// The row for a named selection.

@@ -1,19 +1,22 @@
-//! Sharded, parallel construction of the paper's full table/figure set.
+//! The paper's full table/figure set from one in-order fold.
 //!
-//! Rendering every artefact serially walks the record vector six times
-//! (two `CampaignSummary` builds, org counts, two accuracy extractions,
-//! web-server counts) and single-threads over millions of records at
-//! zone scale. [`Dataset`] bundles all of it behind one entry point and
-//! [`Dataset::build_parallel`] splits the record stream into shards on
-//! domain-group boundaries, computes per-shard partials on scoped
-//! threads, and merges them **in shard order** — so every float is
-//! accumulated in exactly the record order the serial build uses and
-//! `build` / `build_parallel` produce identical (serde-byte-identical)
-//! artefacts for any shard count.
+//! [`DatasetFold`] is the only way a [`Dataset`] is built. It folds
+//! connection records one domain group at a time, in ascending
+//! domain-id order — the campaign engine's output order — so the same
+//! fold serves three callers:
 //!
-//! Sharding relies on the campaign engine's output contract: each
-//! domain's records (all redirect hops) are contiguous, and domains
-//! appear in ascending-id order regardless of worker-thread count.
+//! - [`Dataset::build`] pushes a whole campaign's record vector;
+//! - [`Dataset::build_parallel`] splits the records into shards on
+//!   domain-group boundaries, folds each on a scoped thread and merges
+//!   the folds **in shard order**;
+//! - a bounded-memory campaign pushes each batch straight from
+//!   [`Scanner::sweep`](quicspin_scanner::Scanner::sweep), with no
+//!   materialized campaign: `|b: &mut Vec<ConnectionRecord>| fold.push(b)`.
+//!
+//! Tables merge by count addition (and a host-map OR); figure series keep
+//! their per-record values so that every float is accumulated once, in
+//! record order, in [`DatasetFold::finish`]. All three paths therefore
+//! produce serde-byte-identical artefacts, for any shard or thread count.
 
 use crate::dataset::CampaignSummary;
 use crate::fig2::LongitudinalFigure;
@@ -24,7 +27,7 @@ use crate::overview::OverviewTable;
 use crate::reordering::ReorderingImpact;
 use crate::spin_config::SpinConfigTable;
 use crate::webserver::WebServerShares;
-use quicspin_core::FlowClassification;
+use quicspin_core::FlowClassification::{Greased, Spinning};
 use quicspin_scanner::{Campaign, ConnectionRecord, LongitudinalResult};
 use quicspin_webpop::ListKind;
 use serde::{Deserialize, Serialize};
@@ -59,48 +62,47 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Builds every artefact serially, via the canonical per-module
-    /// builders.
+    /// Builds every artefact with one fold over the campaign's records.
     pub fn build(campaign: &Campaign) -> Self {
-        let summary = CampaignSummary::build(campaign);
-        Dataset {
-            overview: OverviewTable::from_summary(&summary),
-            orgs: OrgTable::from_campaign(campaign),
-            spin_config: SpinConfigTable::from_summary(&summary),
-            fig2: None,
-            fig3: AbsoluteAccuracyFigure::from_records(campaign.records.iter()),
-            fig4: RatioAccuracyFigure::from_records(campaign.records.iter()),
-            reordering: ReorderingImpact::from_records(campaign.records.iter()),
-            webserver: WebServerShares::from_campaign(campaign),
-        }
+        let mut fold = DatasetFold::default();
+        fold.push(&campaign.records);
+        fold.finish()
     }
 
     /// Builds every artefact by splitting the record stream into at most
-    /// `shards` domain-aligned shards, computing per-shard partials on
-    /// scoped threads and merging them in shard order. Produces exactly
-    /// the artefacts of [`build`](Dataset::build) — byte-identical under
+    /// `shards` domain-aligned shards, folding each on a scoped thread
+    /// and merging the folds in shard order. Produces exactly the
+    /// artefacts of [`build`](Dataset::build) — byte-identical under
     /// serde — for any shard count.
     pub fn build_parallel(campaign: &Campaign, shards: usize) -> Self {
         let records = &campaign.records;
-        let ranges = shard_ranges(records, shards);
-        if ranges.len() <= 1 {
-            return Self::build(campaign);
-        }
-        let partials: Vec<ShardPartial> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
+        let folds: Vec<DatasetFold> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shard_ranges(records, shards)
                 .into_iter()
-                .map(|range| scope.spawn(move || ShardPartial::compute(&records[range])))
+                .map(|range| {
+                    scope.spawn(move || {
+                        let mut fold = DatasetFold::default();
+                        fold.push(&records[range]);
+                        fold
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
-        let mut merged = ShardPartial::default();
-        for partial in partials {
-            merged.merge(partial);
-        }
-        merged.into_dataset()
+        folds
+            .into_iter()
+            .reduce(|mut merged, later| {
+                merged.merge(later);
+                merged
+            })
+            .unwrap_or_default()
+            .finish()
     }
 
     /// Attaches the Fig. 2 longitudinal artefact.
@@ -132,12 +134,11 @@ fn shard_ranges(records: &[ConnectionRecord], shards: usize) -> Vec<Range<usize>
     ranges
 }
 
-/// One shard's contribution to every artefact. Tables merge via count
-/// addition (and a host-map OR); figure series keep their per-record
-/// value vectors so that float accumulation happens once, in record
-/// order, after the merge.
-#[derive(Default)]
-struct ShardPartial {
+/// The in-order fold every [`Dataset`] is built from. Its state is
+/// proportional to lists, distinct hosts and spinning or greased
+/// connections (the figure series), not to domains or records.
+#[derive(Debug, Default)]
+pub struct DatasetFold {
     summary: CampaignSummary,
     org_totals: [u64; 9],
     org_spins: [u64; 9],
@@ -155,47 +156,60 @@ fn extend_pair(into: &mut (Vec<f64>, Vec<f64>), from: (Vec<f64>, Vec<f64>)) {
     into.1.extend(from.1);
 }
 
-impl ShardPartial {
-    fn compute(records: &[ConnectionRecord]) -> Self {
-        let mut partial = ShardPartial {
-            summary: CampaignSummary::from_records(records),
-            ..ShardPartial::default()
-        };
+impl DatasetFold {
+    /// Folds whole domain groups, in order: each domain's records must
+    /// be contiguous and within this push, and domain ids must ascend
+    /// across pushes.
+    ///
+    /// # Panics
+    ///
+    /// If a domain id is not above the previous group's id.
+    pub fn push(&mut self, records: &[ConnectionRecord]) {
+        self.summary.push(records);
         OrgTable::count_into(
             records,
             |l| l == ListKind::ZoneComNetOrg,
-            &mut partial.org_totals,
-            &mut partial.org_spins,
+            &mut self.org_totals,
+            &mut self.org_spins,
         );
-        partial.fig3_spin = diffs_for(records.iter(), FlowClassification::Spinning);
-        partial.fig3_grease = diffs_for(records.iter(), FlowClassification::Greased);
-        partial.fig4_spin = ratios_for(records.iter(), FlowClassification::Spinning);
-        partial.fig4_grease = ratios_for(records.iter(), FlowClassification::Greased);
-        partial.reordering = ReorderingImpact::from_records(records.iter());
-        WebServerShares::count_into(records, &mut partial.ws_all, &mut partial.ws_spin);
-        partial
+        for (class, diffs, ratios) in [
+            (Spinning, &mut self.fig3_spin, &mut self.fig4_spin),
+            (Greased, &mut self.fig3_grease, &mut self.fig4_grease),
+        ] {
+            extend_pair(diffs, diffs_for(records.iter(), class));
+            extend_pair(ratios, ratios_for(records.iter(), class));
+        }
+        self.reordering
+            .merge(ReorderingImpact::from_records(records.iter()));
+        WebServerShares::count_into(records, &mut self.ws_all, &mut self.ws_spin);
     }
 
-    fn merge(&mut self, other: ShardPartial) {
-        self.summary.merge(other.summary);
+    /// Appends a fold over a later stretch of the record stream.
+    ///
+    /// # Panics
+    ///
+    /// If `later` does not start above this fold's last domain id.
+    pub fn merge(&mut self, later: DatasetFold) {
+        self.summary.merge(later.summary);
         for i in 0..9 {
-            self.org_totals[i] += other.org_totals[i];
-            self.org_spins[i] += other.org_spins[i];
+            self.org_totals[i] += later.org_totals[i];
+            self.org_spins[i] += later.org_spins[i];
         }
-        extend_pair(&mut self.fig3_spin, other.fig3_spin);
-        extend_pair(&mut self.fig3_grease, other.fig3_grease);
-        extend_pair(&mut self.fig4_spin, other.fig4_spin);
-        extend_pair(&mut self.fig4_grease, other.fig4_grease);
-        self.reordering.merge(other.reordering);
-        for (name, n) in other.ws_all {
+        extend_pair(&mut self.fig3_spin, later.fig3_spin);
+        extend_pair(&mut self.fig3_grease, later.fig3_grease);
+        extend_pair(&mut self.fig4_spin, later.fig4_spin);
+        extend_pair(&mut self.fig4_grease, later.fig4_grease);
+        self.reordering.merge(later.reordering);
+        for (name, n) in later.ws_all {
             *self.ws_all.entry(name).or_default() += n;
         }
-        for (name, n) in other.ws_spin {
+        for (name, n) in later.ws_spin {
             *self.ws_spin.entry(name).or_default() += n;
         }
     }
 
-    fn into_dataset(self) -> Dataset {
+    /// Assembles every artefact from the folded state.
+    pub fn finish(self) -> Dataset {
         Dataset {
             overview: OverviewTable::from_summary(&self.summary),
             orgs: OrgTable::from_counts(self.org_totals, self.org_spins),
@@ -269,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shard_counts_fall_back_to_serial() {
+    fn degenerate_shard_counts_match_build() {
         let c = campaign(13, 50, 500);
         assert_eq!(Dataset::build_parallel(&c, 0), Dataset::build(&c));
         assert_eq!(Dataset::build_parallel(&c, 1), Dataset::build(&c));
@@ -285,21 +299,48 @@ mod tests {
         );
     }
 
+    fn records(ids: &[u32]) -> Vec<ConnectionRecord> {
+        ids.iter()
+            .map(|&id| {
+                ConnectionRecord::failed(
+                    id,
+                    ListKind::Toplist,
+                    Org::Other,
+                    0,
+                    IpVersion::V4,
+                    ScanOutcome::NoQuic,
+                )
+            })
+            .collect()
+    }
+
+    fn split_group_campaign() -> Campaign {
+        // Domain 0's records are split around domain 1's: counting the
+        // two halves as two domains would report three domains, not two.
+        Campaign {
+            week: 0,
+            version: IpVersion::V4,
+            records: records(&[0, 1, 0]),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "domain id 0 follows domain id 1")]
+    fn split_domain_group_panics_in_one_shard() {
+        Dataset::build_parallel(&split_group_campaign(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "starts at domain id 0, not after domain id 1")]
+    fn split_domain_group_panics_across_shards() {
+        Dataset::build_parallel(&split_group_campaign(), 3);
+    }
+
     #[test]
     fn shard_ranges_respect_domain_groups() {
         // Domain 1 has a 5-record redirect chain straddling the naive
         // cut point; the boundary must slide past it.
-        let mut records = Vec::new();
-        for id in [0u32, 0, 1, 1, 1, 1, 1, 2, 3] {
-            records.push(ConnectionRecord::failed(
-                id,
-                quicspin_webpop::ListKind::Toplist,
-                Org::Other,
-                0,
-                IpVersion::V4,
-                ScanOutcome::NoQuic,
-            ));
-        }
+        let records = records(&[0, 0, 1, 1, 1, 1, 1, 2, 3]);
         let ranges = shard_ranges(&records, 3);
         let mut covered = 0;
         for range in &ranges {

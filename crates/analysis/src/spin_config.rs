@@ -78,36 +78,15 @@ impl SpinConfigTable {
         }
     }
 
-    fn row(summary: &CampaignSummary, filter: impl Fn(ListKind) -> bool + Copy) -> SpinConfigRow {
-        let mut row = SpinConfigRow {
-            quic_domains: 0,
-            all_zero: 0,
-            all_one: 0,
-            spin: 0,
-            grease: 0,
-        };
-        for d in summary.domains_in(filter) {
-            match d.class {
-                DomainClass::NoQuic => {}
-                DomainClass::AllZero => {
-                    row.quic_domains += 1;
-                    row.all_zero += 1;
-                }
-                DomainClass::AllOne => {
-                    row.quic_domains += 1;
-                    row.all_one += 1;
-                }
-                DomainClass::Spin => {
-                    row.quic_domains += 1;
-                    row.spin += 1;
-                }
-                DomainClass::Grease => {
-                    row.quic_domains += 1;
-                    row.grease += 1;
-                }
-            }
+    fn row(summary: &CampaignSummary, filter: impl Fn(ListKind) -> bool) -> SpinConfigRow {
+        let counts = summary.counts(filter);
+        SpinConfigRow {
+            quic_domains: counts.quic(),
+            all_zero: counts.class(DomainClass::AllZero),
+            all_one: counts.class(DomainClass::AllOne),
+            spin: counts.class(DomainClass::Spin),
+            grease: counts.class(DomainClass::Grease),
         }
-        row
     }
 
     /// Named rows.

@@ -3,13 +3,14 @@
 //!
 //! A [`crate::record::ConnectionRecord`] is built for fidelity, not for
 //! aggregation: it drags an optional observer report (spin samples,
-//! rejection counters) and an optional qlog trace behind every row. The
-//! aggregation consumers — `streaming::aggregate_campaign` in the
-//! analysis crate and [`crate::timeseries`]'s cumulative fold — touch a
-//! dozen scalar fields per record. A [`RecordBatch`] stores exactly those
+//! rejection counters) and an optional qlog trace behind every row.
+//! Scalar-only consumers such as [`crate::timeseries`]'s cumulative fold
+//! touch a dozen fields per record. A [`RecordBatch`] stores exactly those
 //! fields in parallel columns, one batch per scheduler work unit, so the
 //! merge path walks dense arrays instead of pointer-laden structs and the
-//! streamed campaign mode can account its resident bytes precisely.
+//! streamed campaign mode can account its resident bytes precisely. The
+//! analysis crate's `DatasetFold` reads the observer reports behind
+//! Figs. 3–4, so it folds `Vec<ConnectionRecord>` batches instead.
 //!
 //! Rows are appended per domain ([`RecordBatch::push_group`]) and read
 //! back per domain ([`RecordBatch::groups`]): the group structure mirrors

@@ -6,7 +6,7 @@
 //! where `scale` is the 1:N population denominator (default 1000 —
 //! ≈ 219 k domains; use 100 for a ≈ 2.2 M-domain run if you have time).
 
-use quicspin::analysis::{render, OrgTable, OverviewTable, SpinConfigTable, WebServerShares};
+use quicspin::analysis::{render, Dataset};
 use quicspin::scanner::{write_run_manifest, CampaignConfig, Scanner};
 use quicspin::webpop::{IpVersion, Population, PopulationConfig, WebServer};
 use std::time::Duration;
@@ -24,8 +24,9 @@ fn main() {
 
     // --- IPv4 sweep (Tables 1, 2, 3, §4.2) --------------------------------
     eprintln!("running IPv4 campaign (CW 20 analogue) ...");
+    let config = CampaignConfig::default();
     let (v4, manifest) = scanner.with_progress(
-        &CampaignConfig::default(),
+        &config,
         Duration::from_secs(2),
         |line| eprintln!("{line}"),
         |scanner, config| scanner.run_campaign(config),
@@ -36,19 +37,14 @@ fn main() {
         Err(e) => eprintln!("could not write run manifest: {e}"),
     }
 
-    let table1 = OverviewTable::from_campaign(&v4);
+    let tables = Dataset::build_parallel(&v4, config.threads);
     println!(
         "{}",
-        render::render_overview("Table 1: IPv4 overview", &table1)
+        render::render_overview("Table 1: IPv4 overview", &tables.overview)
     );
+    println!("{}", render::render_orgs(&tables.orgs));
+    println!("{}", render::render_spin_config(&tables.spin_config));
 
-    let table2 = OrgTable::from_campaign(&v4);
-    println!("{}", render::render_orgs(&table2));
-
-    let table3 = SpinConfigTable::from_campaign(&v4);
-    println!("{}", render::render_spin_config(&table3));
-
-    let servers = WebServerShares::from_campaign(&v4);
     println!("Web servers (share of spinning connections):");
     for ws in [
         WebServer::LiteSpeed,
@@ -60,7 +56,7 @@ fn main() {
         println!(
             "  {:<22} {:5.1}%",
             format!("{ws:?}"),
-            servers.spin_share(ws) * 100.0
+            tables.webserver.spin_share(ws) * 100.0
         );
     }
     println!();
@@ -71,7 +67,7 @@ fn main() {
         version: IpVersion::V6,
         ..CampaignConfig::default()
     });
-    let table4 = OverviewTable::from_campaign(&v6);
+    let table4 = Dataset::build_parallel(&v6, config.threads).overview;
     println!(
         "{}",
         render::render_overview("Table 4: IPv6 overview", &table4)

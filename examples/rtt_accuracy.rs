@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release --example rtt_accuracy [zone_domains]`
 
-use quicspin::analysis::{render, AccuracyFigures, Summary};
+use quicspin::analysis::{render, Dataset, Summary};
 use quicspin::core::FlowClassification;
 use quicspin::scanner::{CampaignConfig, Scanner};
 use quicspin::webpop::{Population, PopulationConfig};
@@ -28,7 +28,7 @@ fn main() {
     let campaign = Scanner::new(&population).run_campaign(&CampaignConfig::default());
     eprintln!("{} records", campaign.len());
 
-    let figures = AccuracyFigures::from_records(campaign.established());
+    let figures = Dataset::build(&campaign);
 
     println!("{}", render::render_fig3(&figures.fig3));
     println!("{}", render::render_fig4(&figures.fig4));

@@ -144,6 +144,15 @@ if cargo run --release -p quicspin-spinctl --bin spinctl -- \
   exit 1
 fi
 
+# Example smoke: the centrepiece campaign at 1:10000 must print exactly
+# the committed Tables 1-4 and web-server shares. Its stdout is
+# deterministic (seeded population, per-id seeded probes, one in-order
+# analysis fold), so any moved byte is a behaviour change.
+cargo run --release -q --example internet_campaign -- 10000 \
+  > "$SPINCTL_DIR/internet_campaign_10000.txt"
+cmp examples/expected/internet_campaign_10000.txt \
+  "$SPINCTL_DIR/internet_campaign_10000.txt"
+
 # Overhead gate: the profiler must stay inside its 3% per-probe budget.
 # The probe_profiled bench interleaves the profiled and unprofiled case
 # in one process and its min_ns is each case's noise floor. Timing

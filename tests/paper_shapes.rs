@@ -6,9 +6,7 @@
 //! here we assert the *shapes* with tolerances wide enough to be stable
 //! across this smaller population.
 
-use quicspin::analysis::{
-    AccuracyFigures, OrgTable, OverviewTable, SpinConfigTable, WebServerShares,
-};
+use quicspin::analysis::{Dataset, OrgTable, OverviewTable, SpinConfigTable, WebServerShares};
 use quicspin::scanner::{CampaignConfig, Scanner};
 use quicspin::webpop::{IpVersion, Org, Population, PopulationConfig, WebServer};
 
@@ -88,7 +86,7 @@ fn full_pipeline_reproduces_the_papers_shapes() {
     assert_eq!(servers.spin_share(WebServer::CloudflareFrontend), 0.0);
 
     // ---- Figures 3/4 shapes ----------------------------------------------
-    let figures = AccuracyFigures::from_records(v4.established());
+    let figures = Dataset::build(&v4);
     let spin = &figures.fig4.spin_received;
     assert!(spin.connections > 100, "enough spinning connections");
     assert!(
