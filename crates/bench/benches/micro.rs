@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrates: wire codec, spin observer,
-//! connection handshake, simulator event throughput, and the JSON
-//! artifact writers and readers.
+//! connection handshake, simulator event throughput, the JSON artifact
+//! writers and readers, and population generation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_core::{Direction, ObserverConfig, PacketObservation, SpinObserver};
@@ -176,12 +176,27 @@ fn artifact_io(c: &mut Criterion) {
     }
 }
 
+/// Generates the paper-proportioned 1:1000 population (≈219 k domains,
+/// 216 k of them drawn over the 1 140 zone weights): the set-up cost of
+/// every paper-scale sweep.
+fn population_generation(c: &mut Criterion) {
+    let config = PopulationConfig::paper_scale(1000);
+    let mut group = c.benchmark_group("webpop");
+    group.throughput(Throughput::Elements(config.total_domains()));
+    group.sample_size(10);
+    group.bench_function("generate_paper_1000", |b| {
+        b.iter(|| Population::generate(config.clone()).len())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     wire_codec,
     observer_throughput,
     connection_exchange,
     simulator_events,
-    artifact_io
+    artifact_io,
+    population_generation
 );
 criterion_main!(benches);

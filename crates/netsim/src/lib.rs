@@ -27,6 +27,6 @@ pub use event::{BinaryHeapEventQueue, EventQueue};
 pub use link::{Link, LinkConfig, Transit};
 pub use payload::Payload;
 pub use pcap::{read_pcap, write_pcap, PcapError};
-pub use rng::Rng;
+pub use rng::{Rng, WeightedTable};
 pub use sim::{PathStats, Side, SimEvent, SimScratch, Simulator, TapRecord};
 pub use time::{SimDuration, SimTime};

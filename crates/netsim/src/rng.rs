@@ -128,22 +128,13 @@ impl Rng {
         -mean * self.f64().max(1e-300).ln()
     }
 
-    /// Samples an index from a slice of non-negative weights.
-    /// Panics if the weights are empty or all zero.
+    /// Samples an index from a slice of non-negative finite weights.
+    /// Panics if a weight is negative or not finite, or if the weights
+    /// are empty or all zero. For repeated draws from the same weights,
+    /// build a [`WeightedTable`] once instead: it draws identically
+    /// without re-summing the slice.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "weights must sum to a positive finite value"
-        );
-        let mut target = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        weights.len() - 1
+        scan(weights, checked_total(weights), self)
     }
 
     /// Fisher–Yates shuffle.
@@ -153,6 +144,65 @@ impl Rng {
             items.swap(i, j);
         }
     }
+}
+
+/// A weight vector validated and summed once, for repeated weighted
+/// draws. [`WeightedTable::sample`] consumes the same single `f64` draw
+/// and returns the same index as [`Rng::weighted_index`] over the same
+/// weights; it only skips re-summing them on every call.
+#[derive(Debug, Clone)]
+pub struct WeightedTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightedTable {
+    /// Builds a table. Panics under the same conditions as
+    /// [`Rng::weighted_index`].
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total = checked_total(&weights);
+        WeightedTable { weights, total }
+    }
+
+    /// Samples an index with probability proportional to its weight.
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        scan(&self.weights, self.total, rng)
+    }
+}
+
+/// The left-to-right sum of `weights`, after checking that every weight
+/// is finite and non-negative and that the sum is positive and finite.
+/// The order of the sum is part of the draw: a reordered or compensated
+/// sum moves `target` by an ulp and can change the sampled index.
+fn checked_total(weights: &[f64]) -> f64 {
+    if let Some((i, w)) = weights
+        .iter()
+        .enumerate()
+        .find(|(_, w)| !(w.is_finite() && **w >= 0.0))
+    {
+        panic!("weights must be finite and non-negative: weight {i} is {w}");
+    }
+    let total: f64 = weights.iter().sum();
+    assert!(
+        total > 0.0 && total.is_finite(),
+        "weights must sum to a positive finite value"
+    );
+    total
+}
+
+/// One weighted draw: scale a uniform draw by `total`, then subtract
+/// weights in order until the remainder falls below one. Rounding can
+/// leave the remainder at or above every weight; the last index is then
+/// the answer.
+fn scan(weights: &[f64], total: f64, rng: &mut Rng) -> usize {
+    let mut target = rng.f64() * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if target < w {
+            return i;
+        }
+        target -= w;
+    }
+    weights.len() - 1
 }
 
 #[cfg(test)]
@@ -293,6 +343,74 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "weight 0 is -1")]
+    fn weighted_index_rejects_negative_weight() {
+        // The sum (1.0) is positive, so only the per-weight check catches
+        // this; unchecked, every draw would land on index 1.
+        Rng::new(1).weighted_index(&[-1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight 1 is NaN")]
+    fn weighted_table_rejects_nan_weight() {
+        WeightedTable::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight 2 is inf")]
+    fn weighted_table_rejects_infinite_weight() {
+        WeightedTable::new(vec![1.0, 2.0, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive finite")]
+    fn weighted_table_rejects_empty() {
+        WeightedTable::new(Vec::new());
+    }
+
+    /// The one-shot draw as it was before the table existed, kept as the
+    /// reference both forms must match draw for draw.
+    fn reference_weighted_index(rng: &mut Rng, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().sum();
+        let mut target = rng.f64() * total;
+        for (i, &w) in weights.iter().enumerate() {
+            if target < w {
+                return i;
+            }
+            target -= w;
+        }
+        weights.len() - 1
+    }
+
+    /// Weights from `(selector, exponent)` pairs: zero when the selector
+    /// is 0 (one time in four), otherwise `10^exponent`, so the weights
+    /// span 1e-9..1e9.
+    fn weights_from(raw: &[(u8, f64)]) -> Vec<f64> {
+        raw.iter()
+            .map(|&(k, e)| if k == 0 { 0.0 } else { 10f64.powf(e) })
+            .collect()
+    }
+
+    /// Draws 32 times through the table, the slice form and the
+    /// reference from equal generators; every index and the final
+    /// generator state must agree.
+    fn same_draws(seed: u64, weights: &[f64]) -> Result<(), proptest::TestCaseError> {
+        proptest::prop_assume!(weights.iter().any(|&w| w > 0.0));
+        let table = WeightedTable::new(weights.to_vec());
+        let mut by_table = Rng::new(seed);
+        let mut by_slice = Rng::new(seed);
+        let mut by_reference = Rng::new(seed);
+        for _ in 0..32 {
+            let i = table.sample(&mut by_table);
+            proptest::prop_assert_eq!(i, by_slice.weighted_index(weights));
+            proptest::prop_assert_eq!(i, reference_weighted_index(&mut by_reference, weights));
+        }
+        proptest::prop_assert_eq!(format!("{by_table:?}"), format!("{by_slice:?}"));
+        proptest::prop_assert_eq!(format!("{by_table:?}"), format!("{by_reference:?}"));
+        Ok(())
+    }
+
+    #[test]
     fn shuffle_permutes() {
         let mut rng = Rng::new(29);
         let mut v: Vec<u32> = (0..100).collect();
@@ -318,6 +436,22 @@ mod tests {
             let hi = lo + span;
             let v = rng.range_f64(lo, hi);
             proptest::prop_assert!(v >= lo && (v < hi || span == 0.0));
+        }
+
+        #[test]
+        fn prop_table_matches_one_shot_draw_short(
+            seed: u64,
+            raw in proptest::collection::vec((0u8..4, -9.0f64..=9.0), 1..=4),
+        ) {
+            same_draws(seed, &weights_from(&raw))?;
+        }
+
+        #[test]
+        fn prop_table_matches_one_shot_draw_long(
+            seed: u64,
+            raw in proptest::collection::vec((0u8..4, -9.0f64..=9.0), 1..=2_000),
+        ) {
+            same_draws(seed, &weights_from(&raw))?;
         }
     }
 }

@@ -9,7 +9,7 @@
 //! registry whose size distribution is `.com`-heavy with a Zipf long
 //! tail over the other gTLDs.
 
-use quicspin_netsim::Rng;
+use quicspin_netsim::{Rng, WeightedTable};
 use serde::{Deserialize, Serialize};
 
 /// One toplist source (§3.1.1).
@@ -72,7 +72,7 @@ pub struct Zone {
 #[derive(Debug, Clone)]
 pub struct ZoneRegistry {
     zones: Vec<Zone>,
-    weights: Vec<f64>,
+    weights: WeightedTable,
     total_weight: u64,
 }
 
@@ -115,7 +115,7 @@ impl ZoneRegistry {
                 weight,
             });
         }
-        let weights: Vec<f64> = zones.iter().map(|z| z.weight as f64).collect();
+        let weights = WeightedTable::new(zones.iter().map(|z| z.weight as f64).collect());
         let total_weight = zones.iter().map(|z| z.weight).sum();
         ZoneRegistry {
             zones,
@@ -141,7 +141,7 @@ impl ZoneRegistry {
 
     /// Samples a zone index for a new domain, weighted by zone size.
     pub fn sample(&self, rng: &mut Rng) -> u16 {
-        rng.weighted_index(&self.weights) as u16
+        self.weights.sample(rng) as u16
     }
 
     /// Whether the zone index is one of `.com/.net/.org`.

@@ -6,10 +6,8 @@ use crate::delay::{RttProfile, ServiceClass};
 use crate::domain::{DomainRecord, HostAddr, IpVersion, ListKind};
 use crate::lists::{sample_source_membership, ZoneRegistry};
 use crate::org::{Org, OrgProfile, WebServer, ALL_ORGS, ORG_PROFILES};
-use quicspin_netsim::Rng;
+use quicspin_netsim::{Rng, WeightedTable};
 use quicspin_quic::{ServerProfile, SpinPolicy};
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// P(a resolved toplist domain also has an AAAA record) — Table 4.
 pub const V6_DNS_RATE_TOPLIST: f64 = 0.125;
@@ -38,68 +36,6 @@ pub struct ConnectionPlan {
     pub seed: u64,
 }
 
-/// The stack attributes and member domains of one IPv4 host.
-#[derive(Debug, Clone)]
-pub struct HostGroup {
-    /// Ids of the QUIC domains served from this host, ascending.
-    pub domains: Vec<u32>,
-    /// Whether the host's stack spins (shared by every member domain).
-    pub host_spin: bool,
-    /// Web-server software on the host.
-    pub webserver: WebServer,
-    /// Service class index (0 = fast, 1 = medium, 2 = slow).
-    pub service_class: u8,
-}
-
-/// QUIC domains grouped by their IPv4 host, with per-host stack
-/// attributes. Built once per population (lazily, on first use) so
-/// campaign-long consumers — pooling statistics, AS/IP aggregation
-/// checks — stop rebuilding the same `HashMap` on every call.
-#[derive(Debug, Clone, Default)]
-pub struct HostRollup {
-    hosts: BTreeMap<HostAddr, HostGroup>,
-}
-
-impl HostRollup {
-    fn build(domains: &[DomainRecord]) -> Self {
-        let mut hosts: BTreeMap<HostAddr, HostGroup> = BTreeMap::new();
-        for d in domains.iter().filter(|d| d.quic) {
-            let Some(host) = d.ipv4 else { continue };
-            hosts
-                .entry(host)
-                .or_insert_with(|| HostGroup {
-                    domains: Vec::new(),
-                    host_spin: d.host_spin,
-                    webserver: d.webserver,
-                    service_class: d.service_class,
-                })
-                .domains
-                .push(d.id);
-        }
-        HostRollup { hosts }
-    }
-
-    /// Number of distinct hosts.
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Whether no host serves any QUIC domain.
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
-    /// The group for one host, if it serves any QUIC domain.
-    pub fn get(&self, host: &HostAddr) -> Option<&HostGroup> {
-        self.hosts.get(host)
-    }
-
-    /// All hosts with their groups, in `HostAddr` order.
-    pub fn iter(&self) -> impl Iterator<Item = (&HostAddr, &HostGroup)> {
-        self.hosts.iter()
-    }
-}
-
 /// The generated population.
 #[derive(Debug)]
 pub struct Population {
@@ -107,7 +43,6 @@ pub struct Population {
     domains: Vec<DomainRecord>,
     churn: ChurnModel,
     zones: ZoneRegistry,
-    host_rollup: OnceLock<HostRollup>,
 }
 
 fn org_profile(org: Org) -> &'static OrgProfile {
@@ -128,8 +63,9 @@ impl Population {
         let total = config.total_domains() as usize;
         let mut domains = Vec::with_capacity(total);
 
-        let toplist_weights: Vec<f64> = ORG_PROFILES.iter().map(|p| p.toplist_share).collect();
-        let zone_weights: Vec<f64> = ORG_PROFILES.iter().map(|p| p.zone_share).collect();
+        let toplist_orgs =
+            WeightedTable::new(ORG_PROFILES.iter().map(|p| p.toplist_share).collect());
+        let zone_orgs = WeightedTable::new(ORG_PROFILES.iter().map(|p| p.zone_share).collect());
 
         // Pass 1: list membership, org, resolution, QUIC support.
         for id in 0..total as u32 {
@@ -144,12 +80,12 @@ impl Population {
                 };
                 (list, zone_id, 0)
             };
-            let weights = if list == ListKind::Toplist {
-                &toplist_weights
+            let orgs = if list == ListKind::Toplist {
+                &toplist_orgs
             } else {
-                &zone_weights
+                &zone_orgs
             };
-            let org = ALL_ORGS[rng.weighted_index(weights)];
+            let org = ALL_ORGS[orgs.sample(&mut rng)];
             let profile = org_profile(org);
             let resolve_rate = if list == ListKind::Toplist {
                 TOPLIST_RESOLVE_RATE
@@ -287,15 +223,7 @@ impl Population {
             domains,
             churn: ChurnModel::default(),
             zones,
-            host_rollup: OnceLock::new(),
         }
-    }
-
-    /// The per-host rollup, built on first use and cached for the
-    /// lifetime of the population.
-    pub fn host_rollup(&self) -> &HostRollup {
-        self.host_rollup
-            .get_or_init(|| HostRollup::build(&self.domains))
     }
 
     /// The zone registry backing this population.
@@ -427,6 +355,7 @@ impl Population {
 mod tests {
     use super::*;
     use crate::config::PopulationConfig;
+    use std::collections::{BTreeMap, HashSet};
 
     fn pop() -> Population {
         Population::generate(PopulationConfig::tiny(7))
@@ -511,21 +440,19 @@ mod tests {
             toplist_domains: 0,
             zone_domains: 200_000,
         });
-        let rollup = p.host_rollup();
         let mut cf_domains = 0usize;
-        let mut hosts = 0usize;
-        for (host, group) in rollup.iter() {
+        let mut cf_hosts = HashSet::new();
+        for d in p.domains().iter().filter(|d| d.quic) {
+            let host = d.ipv4.unwrap();
             if host.org == Org::Cloudflare {
-                hosts += 1;
-                cf_domains += group.domains.len();
+                cf_hosts.insert(host);
+                cf_domains += 1;
             }
         }
+        let hosts = cf_hosts.len();
         assert!(cf_domains > 1_000, "enough Cloudflare sample: {cf_domains}");
         let avg = cf_domains as f64 / hosts as f64;
         assert!(avg > 100.0, "Cloudflare pooling avg {avg} (hosts {hosts})");
-        // The rollup is built once and cached: repeat calls return the
-        // same instance.
-        assert!(std::ptr::eq(rollup, p.host_rollup()));
     }
 
     #[test]
@@ -535,19 +462,23 @@ mod tests {
             toplist_domains: 0,
             zone_domains: 100_000,
         });
-        let rollup = p.host_rollup();
-        assert!(!rollup.is_empty());
+        // QUIC domains grouped by their IPv4 host, ascending by id.
+        let mut groups: BTreeMap<HostAddr, Vec<u32>> = BTreeMap::new();
+        for d in p.domains().iter().filter(|d| d.quic) {
+            groups.entry(d.ipv4.unwrap()).or_default().push(d.id);
+        }
+        assert!(!groups.is_empty());
         let mut grouped = 0usize;
-        for (host, group) in rollup.iter() {
-            for &id in &group.domains {
+        for (host, ids) in &groups {
+            let first = p.domain(ids[0]);
+            let expect = (first.host_spin, first.webserver, first.service_class);
+            for &id in ids {
                 let d = p.domain(id);
                 assert_eq!(d.ipv4, Some(*host));
                 let attrs = (d.host_spin, d.webserver, d.service_class);
-                let expect = (group.host_spin, group.webserver, group.service_class);
                 assert_eq!(attrs, expect, "host {host:?} attribute mismatch");
                 grouped += 1;
             }
-            assert_eq!(rollup.get(host).unwrap().domains.len(), group.domains.len());
         }
         // Every QUIC domain appears in exactly one group.
         assert_eq!(grouped, p.domains().iter().filter(|d| d.quic).count());
@@ -702,7 +633,6 @@ mod tests {
             toplist_domains: 0,
             zone_domains: 400_000,
         });
-        use std::collections::HashSet;
         let mut v4_hosts = HashSet::new();
         let mut v6_hosts = HashSet::new();
         let mut v4_domains = 0;

@@ -39,6 +39,9 @@ cargo bench -p quicspin-bench --bench micro -- --test connection
 # Write and read back observer.json and trace.json of a seeded campaign
 # through the streaming JSON writer and parser.
 cargo bench -p quicspin-bench --bench micro -- --test artifacts
+# Generate the 1:1000 paper population once (zone and org draws from
+# precomputed weight tables).
+cargo bench -p quicspin-bench --bench micro -- --test webpop
 
 # spinctl smoke: tiny flight-recorded campaign (tap on by default), then
 # read every artifact back through the CLI (summary, anomaly listing,
