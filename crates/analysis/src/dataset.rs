@@ -220,12 +220,14 @@ mod tests {
                 org: Org::Hostinger,
                 host_index: u64::from(domain_id % 2),
             });
-            r.report = class.map(|c| ObserverReport {
-                classification: c,
-                packets: 5,
-                spin_samples_received_us: vec![],
-                spin_samples_sorted_us: vec![],
-                stack_samples_us: vec![40_000],
+            r.report = class.map(|c| {
+                Box::new(ObserverReport {
+                    classification: c,
+                    packets: 5,
+                    spin_samples_received_us: vec![],
+                    spin_samples_sorted_us: vec![],
+                    stack_samples_us: vec![40_000],
+                })
             });
         }
         r

@@ -123,13 +123,13 @@ mod tests {
             IpVersion::V4,
             ScanOutcome::Ok,
         );
-        r.report = Some(ObserverReport {
+        r.report = Some(Box::new(ObserverReport {
             classification: class,
             packets: 10,
             spin_samples_received_us: vec![spin_us],
             spin_samples_sorted_us: vec![spin_us],
             stack_samples_us: vec![stack_us],
-        });
+        }));
         r
     }
 

@@ -110,13 +110,13 @@ mod tests {
             IpVersion::V4,
             ScanOutcome::Ok,
         );
-        r.report = Some(ObserverReport {
+        r.report = Some(Box::new(ObserverReport {
             classification: FlowClassification::Spinning,
             packets: 10,
             spin_samples_received_us: received_us,
             spin_samples_sorted_us: sorted_us,
             stack_samples_us: vec![40_000],
-        });
+        }));
         r
     }
 

@@ -78,6 +78,23 @@ impl TraceLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// Heap bytes the trace owns: its strings' and event vector's
+    /// capacities plus the close reasons the events hold.
+    pub fn heap_bytes(&self) -> usize {
+        let reasons: usize = self
+            .events
+            .iter()
+            .map(|e| match &e.data {
+                EventData::ConnectionClosed { reason } => reason.capacity(),
+                _ => 0,
+            })
+            .sum();
+        self.vantage_point.capacity()
+            + self.title.capacity()
+            + self.events.capacity() * std::mem::size_of::<LoggedEvent>()
+            + reasons
+    }
 }
 
 /// The qlog file envelope (`qlog_version` + traces), mirroring the

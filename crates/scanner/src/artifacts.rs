@@ -55,7 +55,7 @@ pub fn export_qlogs(campaign: &Campaign) -> QlogFile {
         .records
         .iter()
         .filter(|r| r.outcome == ScanOutcome::Ok)
-        .filter_map(|r| r.qlog.clone())
+        .filter_map(|r| r.qlog.as_deref().cloned())
         .collect();
     QlogFile::new(traces)
 }
@@ -501,7 +501,7 @@ mod tests {
         let originals: Vec<&TraceLog> = campaign
             .records
             .iter()
-            .filter_map(|r| r.qlog.as_ref())
+            .filter_map(|r| r.qlog.as_deref())
             .collect();
         for (blob, original) in blobs.iter().zip(originals) {
             let decoded = decode_trace(blob).unwrap();

@@ -42,8 +42,10 @@ impl CampaignBatch for Vec<ConnectionRecord> {
         self.append(records);
     }
 
+    /// The vector's inline slots plus every record's heap payloads.
     fn resident_bytes(&self) -> usize {
-        self.capacity() * std::mem::size_of::<ConnectionRecord>()
+        let heap: usize = self.iter().map(ConnectionRecord::heap_bytes).sum();
+        self.capacity() * std::mem::size_of::<ConnectionRecord>() + heap
     }
 
     fn clear(&mut self) {
@@ -111,7 +113,7 @@ impl RecordRow {
             virtual_handshake_us: r.virtual_handshake_us,
             virtual_total_us: r.virtual_total_us,
             queue_high_water: r.queue_high_water,
-            observer: r.observer,
+            observer: r.observer.as_deref().copied(),
         }
     }
 }
@@ -159,7 +161,7 @@ impl RecordBatch {
             self.virtual_handshake_us.push(r.virtual_handshake_us);
             self.virtual_total_us.push(r.virtual_total_us);
             self.queue_high_waters.push(r.queue_high_water);
-            self.observers.push(r.observer);
+            self.observers.push(r.observer.as_deref().copied());
         }
     }
 
@@ -299,6 +301,44 @@ mod tests {
         assert_eq!(batch.group_count(), 0);
         // Capacity (and thus the byte estimate) survives the clear.
         assert_eq!(batch.approx_bytes(), bytes);
+    }
+
+    /// The record budget counts what a record keeps on the heap, not
+    /// only the vector's inline slots.
+    #[test]
+    fn record_vec_counts_boxed_payloads_and_samples() {
+        use quicspin_core::ObserverReport;
+        use quicspin_webpop::{Population, PopulationConfig};
+        use std::mem::size_of;
+
+        let pop = Population::generate(PopulationConfig {
+            seed: 7,
+            toplist_domains: 60,
+            zone_domains: 0,
+        });
+        let config = crate::CampaignConfig {
+            tap: Some(0.5),
+            ..crate::CampaignConfig::default()
+        };
+        let campaign = crate::Scanner::new(&pop).run_campaign(&config);
+        let record = campaign
+            .records
+            .into_iter()
+            .find(|r| r.observer.is_some() && r.report.as_ref().is_some_and(|rep| rep.packets > 0))
+            .expect("a tapped, established connection");
+        let report = record.report.as_deref().unwrap();
+        let samples = report.spin_samples_received_us.len()
+            + report.spin_samples_sorted_us.len()
+            + report.stack_samples_us.len();
+        assert!(samples > 0);
+        let batch = vec![record];
+        assert!(
+            batch.resident_bytes()
+                >= size_of::<ConnectionRecord>()
+                    + size_of::<ObserverReport>()
+                    + size_of::<ObserverView>()
+                    + samples * size_of::<u64>()
+        );
     }
 
     #[test]

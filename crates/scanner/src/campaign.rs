@@ -235,7 +235,7 @@ impl<'p> Scanner<'p> {
         if !config.keep_qlogs {
             for record in &mut out[start..] {
                 if let Some(trace) = record.qlog.take() {
-                    scratch.restock_qlog(trace);
+                    scratch.restock_qlog(*trace);
                 }
             }
         }

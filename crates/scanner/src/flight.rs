@@ -1123,8 +1123,8 @@ mod tests {
                 IpVersion::V4,
                 ScanOutcome::Ok,
             );
-            r.report = Some(rep);
-            r.observer = Some(view);
+            r.report = Some(Box::new(rep));
+            r.observer = Some(Box::new(view));
             r
         };
 

@@ -189,7 +189,7 @@ impl ObserverDocBuilder {
 
     /// Notes one materialized record (no-op unless it carries a view).
     pub fn note_record(&mut self, record: &ConnectionRecord) {
-        if let Some(view) = record.observer {
+        if let Some(&view) = record.observer.as_deref() {
             self.flows.push(ObserverFlowRow {
                 domain_id: record.domain_id,
                 hop: record.redirect_depth,
@@ -319,18 +319,18 @@ mod tests {
             quicspin_webpop::IpVersion::V4,
             crate::record::ScanOutcome::Ok,
         );
-        record.observer = Some(ObserverView::new(
+        record.observer = Some(Box::new(ObserverView::new(
             0.5,
             stats(4, Some(42_000)),
             &report(&[40_000], &[38_000]),
-        ));
+        )));
         builder.note_record(&record);
         record.domain_id = 2;
-        record.observer = Some(ObserverView::new(
+        record.observer = Some(Box::new(ObserverView::new(
             0.5,
             stats(0, None),
             &report(&[], &[38_000]),
-        ));
+        )));
         builder.note_record(&record);
         let doc = builder.finish();
         assert_eq!(doc.schema_version, OBSERVER_SCHEMA_VERSION);
@@ -371,11 +371,11 @@ mod tests {
             quicspin_webpop::IpVersion::V6,
             crate::record::ScanOutcome::Ok,
         );
-        record.observer = Some(ObserverView::new(
+        record.observer = Some(Box::new(ObserverView::new(
             0.75,
             stats(2, Some(40_000)),
             &report(&[40_000], &[40_000]),
-        ));
+        )));
         builder.note_record(&record);
         let doc = builder.finish();
         let json = serde_json::to_string(&doc).unwrap();

@@ -358,7 +358,7 @@ pub fn probe_connection_scratch(
             if scratch.flight_inspect {
                 scratch.telemetry.incr(Metric::FlightTracesInspected);
             }
-            trace
+            Box::new(trace)
         });
         let record = ConnectionRecord {
             domain_id: domain.id,
@@ -456,7 +456,7 @@ pub fn probe_connection_scratch(
         if scratch.flight_inspect {
             scratch.telemetry.incr(Metric::FlightTracesInspected);
         }
-        trace
+        Box::new(trace)
     });
     if keep_qlog {
         scratch.telemetry.record_since(Stage::QlogEncode, t);
@@ -473,8 +473,8 @@ pub fn probe_connection_scratch(
         outcome: ScanOutcome::Ok,
         host: Some(plan.host),
         webserver,
-        report: Some(report),
-        observer: observer_view,
+        report: Some(Box::new(report)),
+        observer: observer_view.map(Box::new),
         virtual_handshake_us,
         virtual_total_us,
         queue_high_water,

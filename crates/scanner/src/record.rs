@@ -30,6 +30,12 @@ impl ScanOutcome {
 }
 
 /// One scanned connection.
+///
+/// The layout keeps the fields every attempt has inline and boxes the
+/// payloads only established connections carry (`report`, `observer`,
+/// `qlog`), so a failed attempt costs the inline record alone. Most
+/// targets of a zone-scale sweep never establish QUIC. Boxing is
+/// transparent to serde: the JSON is that of the unboxed `Option`s.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConnectionRecord {
     /// Target domain.
@@ -52,12 +58,12 @@ pub struct ConnectionRecord {
     /// HTTP response was parsed.
     pub webserver: Option<WebServer>,
     /// The spin-bit assessment (present for established connections).
-    pub report: Option<ObserverReport>,
+    pub report: Option<Box<ObserverReport>>,
     /// The on-path observer's view of this connection, present when the
     /// campaign ran with a tap attached (see
     /// [`crate::observe::ObserverView`]).
     #[serde(default)]
-    pub observer: Option<crate::observe::ObserverView>,
+    pub observer: Option<Box<crate::observe::ObserverView>>,
     /// Simulated handshake time in microseconds, when the handshake
     /// completed. Virtual-clock time, so it is identical for any
     /// worker-thread count — the time-series layer samples it.
@@ -74,7 +80,7 @@ pub struct ConnectionRecord {
     /// with `keep_qlogs` (the paper's Appendix B artifact release keeps
     /// these for all toplist connections).
     #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub qlog: Option<TraceLog>,
+    pub qlog: Option<Box<TraceLog>>,
 }
 
 impl ConnectionRecord {
@@ -106,6 +112,27 @@ impl ConnectionRecord {
         }
     }
 
+    /// Heap bytes the record owns beyond its inline size: each boxed
+    /// payload's block and what the payloads own in turn (the report's
+    /// sample vectors, the trace's events and strings).
+    pub fn heap_bytes(&self) -> usize {
+        let report = self.report.as_deref().map_or(0, |r| {
+            let samples = r.spin_samples_received_us.capacity()
+                + r.spin_samples_sorted_us.capacity()
+                + r.stack_samples_us.capacity();
+            std::mem::size_of::<ObserverReport>() + samples * std::mem::size_of::<u64>()
+        });
+        let observer = self
+            .observer
+            .as_ref()
+            .map_or(0, |_| std::mem::size_of::<crate::observe::ObserverView>());
+        let qlog = self
+            .qlog
+            .as_deref()
+            .map_or(0, |t| std::mem::size_of::<TraceLog>() + t.heap_bytes());
+        report + observer + qlog
+    }
+
     /// Whether this connection showed spin-bit activity (flips) —
     /// the paper's "Spin" candidate criterion before grease filtering.
     pub fn has_spin_activity(&self) -> bool {
@@ -127,6 +154,19 @@ mod tests {
         assert!(!ScanOutcome::NoQuic.is_quic());
         assert!(!ScanOutcome::Unreachable.is_quic());
         assert!(!ScanOutcome::HandshakeFailed.is_quic());
+    }
+
+    /// The inline budget. 8-byte words: `host` 16 (`HostAddr` is a
+    /// `u64` plus two one-byte enums; `None` sits in an enum niche),
+    /// `virtual_handshake_us` 16, `virtual_total_us` 8,
+    /// `queue_high_water` 8, and the three boxed payloads 8 each (`None`
+    /// is the null pointer). Then `domain_id`, `week` and
+    /// `redirect_depth` at 4 each, and `list`, `org`, `version`,
+    /// `outcome` and `webserver` at 1 each: 17 bytes, padded to 24.
+    /// 72 + 24 = 96.
+    #[test]
+    fn record_stays_within_its_inline_budget() {
+        assert!(std::mem::size_of::<ConnectionRecord>() <= 96);
     }
 
     #[test]
@@ -154,13 +194,13 @@ mod tests {
             IpVersion::V4,
             ScanOutcome::Ok,
         );
-        r.report = Some(ObserverReport {
+        r.report = Some(Box::new(ObserverReport {
             classification: FlowClassification::Spinning,
             packets: 10,
             spin_samples_received_us: vec![40_000],
             spin_samples_sorted_us: vec![40_000],
             stack_samples_us: vec![40_000],
-        });
+        }));
         assert!(r.has_spin_activity());
         r.report.as_mut().unwrap().classification = FlowClassification::AllZero;
         assert!(!r.has_spin_activity());

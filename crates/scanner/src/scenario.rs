@@ -23,12 +23,20 @@
 use crate::campaign::CampaignConfig;
 use crate::flight::FlightConfig;
 use quicspin_webpop::PopulationConfig;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Fixed declaration order of sweepable axes; cell ids concatenate the
 /// swept axes in this order, so the id layout is stable regardless of
 /// the order keys appear in the `[sweep]` section.
 pub const SWEEP_AXES: &[&str] = &["loss", "reorder", "jitter_frac", "vantage", "seed", "week"];
+
+/// Largest `[campaign] threads` a scenario may ask for.
+const MAX_SCENARIO_THREADS: u64 = 256;
+
+/// Largest number of cells a sweep may expand to; checked before any
+/// cell is built.
+const MAX_SCENARIO_CELLS: usize = 4096;
 
 /// One expanded grid cell: a deterministic id plus everything needed to
 /// run it.
@@ -165,6 +173,11 @@ fn parse_value(raw: &str, line_no: usize) -> Result<TomlValue, String> {
                         "scenario error: line {line_no}: empty array element in {raw:?}"
                     ));
                 }
+                if item.starts_with('[') {
+                    return Err(format!(
+                        "scenario error: line {line_no}: nested array in {raw:?}"
+                    ));
+                }
                 items.push(parse_value(item, line_no)?);
             }
         }
@@ -227,6 +240,20 @@ fn expect_u64(section: &str, key: &str, value: &TomlValue) -> Result<u64, String
             value.type_name()
         )),
     }
+}
+
+fn out_of_range(section: &str, key: &str, n: u64, max: u64) -> String {
+    format!("scenario error: key \"{key}\" in [{section}] value {n} outside [0, {max}]")
+}
+
+fn expect_u32(section: &str, key: &str, value: &TomlValue) -> Result<u32, String> {
+    let n = expect_u64(section, key, value)?;
+    u32::try_from(n).map_err(|_| out_of_range(section, key, n, u32::MAX.into()))
+}
+
+fn expect_usize(section: &str, key: &str, value: &TomlValue) -> Result<usize, String> {
+    let n = expect_u64(section, key, value)?;
+    usize::try_from(n).map_err(|_| out_of_range(section, key, n, usize::MAX as u64))
 }
 
 fn expect_fraction(
@@ -331,6 +358,12 @@ fn parse_axis_values(axis: &str, value: &TomlValue) -> Result<Vec<AxisValue>, St
                 AxisValue::Millionths((f * 1_000_000.0).round() as u32)
             }
             None => match item {
+                TomlValue::Integer(n) if axis == "week" && *n > i64::from(u32::MAX) => {
+                    return Err(format!(
+                        "scenario error: sweep axis \"{axis}\" value {n} outside [0, {}]",
+                        u32::MAX
+                    ))
+                }
                 TomlValue::Integer(n) if *n >= 0 => AxisValue::Integer(*n as u64),
                 _ => {
                     return Err(format!(
@@ -387,7 +420,10 @@ impl Default for BaseParams {
 /// offending identifier; malformed or out-of-range sweep axes name the
 /// axis and value; a scenario whose `[sweep]` section is missing or
 /// defines no axes is an *empty matrix* error; an axis repeating a
-/// value is a *duplicate cell id* error.
+/// value is a *duplicate cell id* error. Integers that do not fit their
+/// field, and `threads` above [`MAX_SCENARIO_THREADS`], name the key and
+/// its range; a sweep whose axes multiply past [`MAX_SCENARIO_CELLS`]
+/// cells is rejected before any cell is built.
 pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
     let pairs = parse_toml(text)?;
 
@@ -415,10 +451,8 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
             },
             "population" => match key.as_str() {
                 "seed" => population.seed = expect_u64(section, key, value)?,
-                "toplist_domains" => {
-                    population.toplist_domains = expect_u64(section, key, value)? as u32
-                }
-                "zone_domains" => population.zone_domains = expect_u64(section, key, value)? as u32,
+                "toplist_domains" => population.toplist_domains = expect_u32(section, key, value)?,
+                "zone_domains" => population.zone_domains = expect_u32(section, key, value)?,
                 _ => {
                     return Err(format!(
                         "scenario error: unknown key \"{key}\" in [population]"
@@ -426,12 +460,16 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
                 }
             },
             "campaign" => match key.as_str() {
-                "week" => base.week = expect_u64(section, key, value)? as u32,
+                "week" => base.week = expect_u32(section, key, value)?,
                 "seed" => base.seed = expect_u64(section, key, value)?,
-                "threads" => base.threads = expect_u64(section, key, value)?.max(1) as usize,
-                "record_budget_bytes" => {
-                    base.record_budget = expect_u64(section, key, value)? as usize
+                "threads" => {
+                    let n = expect_u64(section, key, value)?;
+                    if n > MAX_SCENARIO_THREADS {
+                        return Err(out_of_range(section, key, n, MAX_SCENARIO_THREADS));
+                    }
+                    base.threads = n.max(1) as usize;
                 }
+                "record_budget_bytes" => base.record_budget = expect_usize(section, key, value)?,
                 "retention_budget_bytes" => {
                     base.retention_budget_bytes = expect_u64(section, key, value)?
                 }
@@ -495,8 +533,15 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
 
     // Cartesian expansion, lexicographic in axis order: the last axis
     // varies fastest.
-    let total: usize = sweep.iter().map(|(_, v)| v.len()).product();
+    let total = sweep
+        .iter()
+        .try_fold(1usize, |n, (_, values)| n.checked_mul(values.len()))
+        .filter(|&n| n <= MAX_SCENARIO_CELLS)
+        .ok_or_else(|| {
+            format!("scenario error: matrix expands to more than {MAX_SCENARIO_CELLS} cells")
+        })?;
     let mut cells: Vec<ScenarioCell> = Vec::with_capacity(total);
+    let mut ids: HashSet<String> = HashSet::with_capacity(total);
     let mut indices = vec![0usize; sweep.len()];
     loop {
         let picks: Vec<(&str, AxisValue)> = sweep
@@ -509,7 +554,7 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
             .map(|(axis, v)| format!("{axis}{}", v.token()))
             .collect::<Vec<_>>()
             .join("-");
-        if cells.iter().any(|c| c.id == id) {
+        if !ids.insert(id.clone()) {
             return Err(format!("scenario error: duplicate cell id \"{id}\""));
         }
         cells.push(build_cell(&base, &picks, id));
@@ -553,7 +598,9 @@ fn build_cell(base: &BaseParams, picks: &[(&str, AxisValue)], id: String) -> Sce
             ("jitter_frac", AxisValue::Millionths(m)) => jitter_frac = f64::from(m) / 1_000_000.0,
             ("vantage", AxisValue::Millionths(m)) => vantage = Some(f64::from(m) / 1_000_000.0),
             ("seed", AxisValue::Integer(n)) => seed = n,
-            ("week", AxisValue::Integer(n)) => week = n as u32,
+            ("week", AxisValue::Integer(n)) => {
+                week = u32::try_from(n).expect("week axis values are bounded at parse")
+            }
             _ => unreachable!("axis/value mismatch for {axis}"),
         }
     }
@@ -795,6 +842,102 @@ loss = [0.0, 0.05]
             parse_scenario(&text).unwrap_err(),
             "scenario error: key \"loss\" in [conditions] value 2.5 outside [0, 1)"
         );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_exact_errors() {
+        let text = SCENARIO.replace("toplist_domains = 20", "toplist_domains = 4294967296");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: key \"toplist_domains\" in [population] value 4294967296 \
+             outside [0, 4294967295]"
+        );
+        let text = SCENARIO.replace("zone_domains = 60", "zone_domains = 9223372036854775807");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: key \"zone_domains\" in [population] value 9223372036854775807 \
+             outside [0, 4294967295]"
+        );
+        let text = SCENARIO.replace("week = 0", "week = 4294967296");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: key \"week\" in [campaign] value 4294967296 outside [0, 4294967295]"
+        );
+        let text = SCENARIO.replace("loss = [0.0, 0.05]", "loss = [0.0]\nweek = [1, 4294967296]");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: sweep axis \"week\" value 4294967296 outside [0, 4294967295]"
+        );
+        // The largest in-range values still parse.
+        let text = SCENARIO
+            .replace("toplist_domains = 20", "toplist_domains = 4294967295")
+            .replace("loss = [0.0, 0.05]", "loss = [0.0]\nweek = [4294967295]");
+        let matrix = parse_scenario(&text).unwrap();
+        assert_eq!(matrix.population.toplist_domains, u32::MAX);
+        assert_eq!(matrix.cells[0].config.week, u32::MAX);
+    }
+
+    /// Parse level only: no campaign is ever run with these counts.
+    #[test]
+    fn threads_are_capped() {
+        let text = SCENARIO.replace("threads = 2", "threads = 257");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: key \"threads\" in [campaign] value 257 outside [0, 256]"
+        );
+        let text = SCENARIO.replace("threads = 2", "threads = 9223372036854775807");
+        assert!(parse_scenario(&text).is_err());
+        let text = SCENARIO.replace("threads = 2", "threads = 256");
+        assert_eq!(parse_scenario(&text).unwrap().cells[0].config.threads, 256);
+        let text = SCENARIO.replace("threads = 2", "threads = 0");
+        assert_eq!(parse_scenario(&text).unwrap().cells[0].config.threads, 1);
+    }
+
+    #[test]
+    fn oversized_matrices_are_rejected_before_expansion() {
+        let integers = |n: usize| (0..n).map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
+        let seeds = |n: usize| {
+            SCENARIO.replace(
+                "loss = [0.0, 0.05]",
+                &format!("loss = [0.0, 0.05]\nseed = [{}]", integers(n)),
+            )
+        };
+        // 2 × 2 × 1024 cells is exactly the cap; one more seed is past it.
+        assert_eq!(parse_scenario(&seeds(1024)).unwrap().cells.len(), 4096);
+        assert_eq!(
+            parse_scenario(&seeds(1025)).unwrap_err(),
+            "scenario error: matrix expands to more than 4096 cells"
+        );
+        // Axis lengths whose product overflows `usize` take the same path.
+        let n = 70_000;
+        let fractions = (0..n)
+            .map(|i| format!("{}", i as f64 / 1e6))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let text = SCENARIO.replace(
+            "loss = [0.0, 0.05]",
+            &format!(
+                "loss = [{fractions}]\nreorder = [{fractions}]\nseed = [{ints}]\nweek = [{ints}]",
+                ints = integers(n)
+            ),
+        );
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: matrix expands to more than 4096 cells"
+        );
+    }
+
+    #[test]
+    fn nested_arrays_are_syntax_errors() {
+        let err = parse_scenario("[sweep]\nloss = [[0.1]]\n").unwrap_err();
+        assert_eq!(err, "scenario error: line 2: nested array in \"[[0.1]]\"");
+        // Deep nesting is rejected at the first level, not by recursion.
+        let deep = format!(
+            "[sweep]\nloss = {}{}\n",
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        );
+        assert!(parse_scenario(&deep).unwrap_err().contains("nested array"));
     }
 
     #[test]

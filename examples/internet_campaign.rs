@@ -72,4 +72,13 @@ fn main() {
         "{}",
         render::render_overview("Table 4: IPv6 overview", &table4)
     );
+
+    // Peak resident set of the whole run (both campaigns resident), for
+    // `scripts/ci.sh --scale`'s memory gate. Linux only: skipped where
+    // `/proc/self/status` cannot be read.
+    if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
+        if let Some(hwm) = status.lines().find(|l| l.starts_with("VmHWM:")) {
+            eprintln!("{hwm}");
+        }
+    }
 }

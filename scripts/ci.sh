@@ -5,7 +5,8 @@
 # scheduler microbenchmark gated against the committed baseline
 # (BENCH_EVENT_QUEUE.json), the profiler benches against theirs
 # (BENCH_PROFILE.json), and a 100k-domain streamed sweep that must
-# stay inside its resident-record-byte budget.
+# stay inside its resident-record-byte budget, and the 1:1000
+# centrepiece campaign under its peak-RSS bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -225,5 +226,23 @@ if [ "$SCALE" = 1 ]; then
   if [ -z "$PEAK" ] || [ "$PEAK" -le 0 ] || [ "$PEAK" -gt "$BUDGET" ]; then
     echo "ERROR: streamed sweep peak_record_bytes=${PEAK:-unset} outside (0, $BUDGET]" >&2
     exit 1
+  fi
+
+  # Record footprint gate: the centrepiece campaign at 1:1000 holds its
+  # IPv4 and IPv6 campaigns resident, and prints its peak resident set
+  # (VmHWM) to stderr. Measured on a 2-vCPU container: 70 028-70 464 kB
+  # (≈69 MiB) with 96 B records whose established-only payloads are
+  # boxed, 216 140-216 896 kB (≈211 MiB) with the payloads inline
+  # (440 B records). The bound sits between the two.
+  if [ -r /proc/self/status ]; then
+    HWM_BOUND_KB=$((128 * 1024))
+    cargo run --release -q --example internet_campaign -- 1000 \
+      > /dev/null 2> "$SPINCTL_DIR/internet_campaign_1000.err"
+    HWM=$(awk '$1 == "VmHWM:" { print $2; exit }' "$SPINCTL_DIR/internet_campaign_1000.err")
+    echo "internet_campaign 1000: VmHWM=${HWM:-unset} kB bound=$HWM_BOUND_KB kB"
+    if [ -z "$HWM" ] || [ "$HWM" -gt "$HWM_BOUND_KB" ]; then
+      echo "ERROR: internet_campaign 1000 VmHWM=${HWM:-unset} kB above $HWM_BOUND_KB kB" >&2
+      exit 1
+    fi
   fi
 fi
